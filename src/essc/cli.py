@@ -82,7 +82,6 @@ def _cmd_detect(args) -> int:
             "seed_strategy": strategy,
             "max_iter": args.max_iter,
             "simplify": args.simplify,
-            "threads": args.threads,
             "output": args.output,
         },
         "duration_seconds": time.perf_counter() - started,
@@ -333,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--simplify", action="store_true",
                    help="collapse multi-edges and drop self-loops first")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results do not depend on it "
-                   "(this build computes sequentially)")
     p.set_defaults(func=_cmd_detect)
 
     gen = sub.add_parser("generate", help="write a benchmark graph and its truth")

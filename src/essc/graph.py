@@ -2,10 +2,9 @@
 
 Vertices are dense integer ids ``0..n-1``. Edges form a multiset of
 unordered pairs; self-loops are allowed and contribute 2 to their
-endpoint's degree. Adjacency is stored CSR-style (one row per vertex)
-so boundary counts against a vertex set vectorize over the whole graph.
-Instances are immutable after construction and safe to share between
-workers.
+endpoint's degree. Adjacency is stored CSR-style (one row per vertex),
+so the boundary counts against a vertex set are read from the members'
+rows alone. Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class MultiGraph:
         "_indptr",
         "_indices",
         "_data",
-        "_row_of",
         "_pair_u",
         "_pair_v",
         "_pair_mult",
@@ -83,7 +81,6 @@ class MultiGraph:
         counts = np.bincount(rows, minlength=self.n).astype(np.int64)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.degrees = np.bincount(rows, weights=vals, minlength=self.n).astype(np.int64)
-        self._row_of = np.repeat(np.arange(self.n, dtype=np.int64), counts)
 
     @classmethod
     def from_pair_arrays(
@@ -155,14 +152,13 @@ class MultiGraph:
             raise ValueError(f"vertex id {u} out of range")
         return self._indices[self._indptr[u]:self._indptr[u + 1]]
 
-    def member_mask(self, members: Iterable[int]) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        for v in members:
-            v = int(v)
-            if v < 0 or v >= self.n:
-                raise ValueError(f"vertex id {v} out of range")
-            mask[v] = True
-        return mask
+    def _member_ids(self, members: Iterable[int]) -> np.ndarray:
+        """The distinct member ids, ascending, validated against ``[0, n)``."""
+        ids = np.unique(np.fromiter(members, dtype=np.int64))
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"vertex id {bad} out of range")
+        return ids
 
     def boundary_count(self, u: int, members: Iterable[int]) -> int:
         """Edges between `u` and the set, with multiplicity.
@@ -171,23 +167,33 @@ class MultiGraph:
         """
         if u < 0 or u >= self.n:
             raise ValueError(f"vertex id {u} out of range")
-        mask = self.member_mask(members)
         lo, hi = self._indptr[u], self._indptr[u + 1]
-        return int(self._data[lo:hi][mask[self._indices[lo:hi]]].sum())
+        inside = np.isin(self._indices[lo:hi], self._member_ids(members))
+        return int(self._data[lo:hi][inside].sum())
+
+    def boundary(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices with an edge into the set, ascending, and their
+        boundary counts, read from the members' adjacency rows alone."""
+        ids = self._member_ids(members)
+        starts = self._indptr[ids]
+        lengths = self._indptr[ids + 1] - starts
+        # entry j of the gathered rows is entry starts[r] + j - offsets[r]
+        offsets = np.cumsum(lengths) - lengths
+        entries = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+        vertices, slot = np.unique(self._indices[entries], return_inverse=True)
+        counts = np.bincount(slot, weights=self._data[entries], minlength=vertices.size)
+        return vertices, counts.astype(np.int64)
 
     def boundary_counts(self, members: Iterable[int]) -> np.ndarray:
         """Boundary count against the set for every vertex at once."""
-        mask = members if isinstance(members, np.ndarray) and members.dtype == bool \
-            else self.member_mask(members)
-        sel = mask[self._indices]
-        return np.bincount(
-            self._row_of[sel], weights=self._data[sel], minlength=self.n
-        ).astype(np.int64)
+        vertices, counts = self.boundary(members)
+        out = np.zeros(self.n, dtype=np.int64)
+        out[vertices] = counts
+        return out
 
     def volume(self, members: Iterable[int]) -> int:
         """Sum of member degrees."""
-        mask = self.member_mask(members)
-        return int(self.degrees[mask].sum())
+        return int(self.degrees[self._member_ids(members)].sum())
 
     def edge_classes(self) -> Iterator[tuple[int, int, int]]:
         """Distinct edges as ``(u, v, multiplicity)``, sorted by ``(u, v)``."""

@@ -11,7 +11,6 @@ loop iterates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,10 +19,6 @@ from scipy.special import betainc
 
 from .errors import DegenerateGraphError
 from .graph import MultiGraph, VertexSet
-
-# direct tail summation is used up to this many trials; beyond it the
-# regularized incomplete beta identity avoids underflowing pmf products
-_SMALL_TRIALS = 64
 
 
 def block_probability(g: MultiGraph, b: Iterable[int]) -> float:
@@ -52,10 +47,10 @@ def binomial_survival(k: int, p: float, x: int) -> float:
 
     Notes
     -----
-    For k <= 64 the tail is a compensated sum of exact-coefficient pmf
-    terms. For larger k the identity P(X >= x) = I_p(x, k - x + 1) with
-    the regularized incomplete beta function I is used instead, since
-    naive pmf products underflow once k reaches the thousands.
+    Evaluated by the batch routine that detection uses, through the
+    identity P(X >= x) = I_p(x, k - x + 1) with the regularized incomplete
+    beta function I; naive pmf products underflow once k reaches the
+    thousands.
     """
     if k < 0:
         raise ValueError("trial count must be >= 0")
@@ -63,47 +58,22 @@ def binomial_survival(k: int, p: float, x: int) -> float:
         raise ValueError("threshold count must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    if x <= 0:
-        return 1.0
-    if x > k:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    if k <= _SMALL_TRIALS:
-        q = 1.0 - p
-        total = math.fsum(
-            math.comb(k, j) * p ** j * q ** (k - j) for j in range(x, k + 1)
-        )
-        return min(1.0, total)
-    return float(betainc(x, k - x + 1, p))
+    return float(_binomial_survival_batch(np.array([k]), p, np.array([x]))[0])
 
 
 def _binomial_survival_batch(k: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
     """Vectorized upper tails P(X >= x_i) for X ~ Binomial(k_i, p).
 
-    Uses the incomplete beta identity for every active entry; this meets
-    the same 1e-12 absolute tolerance as the scalar routine (checked in
-    the test suite against exact rational summation) and vectorizes the
-    per-vertex sweep that dominates detection time.
+    Uses the incomplete beta identity for every entry with 1 <= x <= k,
+    with absolute error below 1e-12 (checked in the test suite against
+    exact rational summation).
     """
     k = np.asarray(k, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
-    out = np.ones(k.shape, dtype=np.float64)
-    impossible = x > k
-    out[impossible] = 0.0
-    active = (x >= 1) & ~impossible
-    if not np.any(active):
-        return out
-    if p <= 0.0:
-        out[active] = 0.0
-    elif p >= 1.0:
-        out[active] = 1.0
-    else:
-        ka = k[active].astype(np.float64)
-        xa = x[active].astype(np.float64)
-        out[active] = betainc(xa, ka - xa + 1.0, p)
+    out = np.where(x > k, 0.0, 1.0)
+    # I_0 = 0 and I_1 = 1 exactly, so p = 0 and p = 1 need no branch
+    active = (x >= 1) & (x <= k)
+    out[active] = betainc(x[active], k[active] - x[active] + 1, p)
     return out
 
 
@@ -136,13 +106,28 @@ def connection_pvalue(g: MultiGraph, u: int, b: Iterable[int]) -> float:
     """
     if u < 0 or u >= g.n:
         raise ValueError(f"vertex id {u} out of range")
+    return float(pvalue_table(g, b).pvalues[u])
+
+
+def _ranked(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices with an edge into `b`, ordered by (p-value, id), and
+    their p-values. Every other vertex has p = 1 and comes after these in
+    the full order."""
     p = block_probability(g, b)
-    return binomial_survival(g.degree(u), p, g.boundary_count(u, b))
+    vertices, counts = g.boundary(b)
+    pvalues = _binomial_survival_batch(g.degrees[vertices], p, counts)
+    # a stable sort keeps the ascending ids in order among equal p-values
+    order = np.argsort(pvalues, kind="stable")
+    return vertices[order], pvalues[order]
 
 
-def _pvalue_order(p: np.ndarray) -> np.ndarray:
-    """Indices ordered by (p-value, index)."""
-    return np.lexsort((np.arange(p.size), p))
+def _bh_cut(sorted_p: np.ndarray, n: int, alpha: float) -> int:
+    """Largest k with p_(k) <= (k / n) * alpha over ascending p-values, or 0."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    passing = sorted_p <= alpha * np.arange(1, sorted_p.size + 1) / n
+    hits = np.nonzero(passing)[0]
+    return int(hits[-1]) + 1 if hits.size else 0
 
 
 def select_by_fdr(pvalues: Sequence[float] | np.ndarray, alpha: float) -> frozenset[int]:
@@ -153,22 +138,19 @@ def select_by_fdr(pvalues: Sequence[float] | np.ndarray, alpha: float) -> frozen
     entries. k = 0 yields the empty set. The denominator is the full
     length n of the input.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     p = np.asarray(pvalues, dtype=np.float64)
-    n = p.size
-    if n == 0:
-        return frozenset()
-    order = _pvalue_order(p)
-    passing = p[order] <= alpha * np.arange(1, n + 1) / n
-    hits = np.nonzero(passing)[0]
-    k = int(hits[-1]) + 1 if hits.size else 0
-    return frozenset(int(i) for i in order[:k])
+    order = np.argsort(p, kind="stable")
+    return frozenset(order[:_bh_cut(p[order], p.size, alpha)].tolist())
 
 
 def bh_select(g: MultiGraph, b: Iterable[int], alpha: float) -> VertexSet:
-    """One update step: vertices significantly connected to `b` at level alpha."""
-    return select_by_fdr(pvalue_table(g, b).pvalues, alpha)
+    """One update step: vertices significantly connected to `b` at level alpha.
+
+    A vertex with no edge into `b` has p = 1 and never passes at alpha < 1,
+    so only the others are scored; the BH denominator is still n.
+    """
+    vertices, pvalues = _ranked(g, b)
+    return frozenset(vertices[:_bh_cut(pvalues, g.n, alpha)].tolist())
 
 
 def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:
@@ -176,7 +158,9 @@ def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:
 
     Vertices are ordered by (p-value against `b`, id), the same order
     `select_by_fdr` cuts, and the first `k` are returned whatever their
-    p-values.
+    p-values. Past the vertices with p < 1, that order is by id alone.
     """
-    order = _pvalue_order(pvalue_table(g, b).pvalues)
-    return frozenset(int(i) for i in order[:k])
+    vertices, pvalues = _ranked(g, b)
+    strong = vertices[pvalues < 1.0][:k]
+    rest = np.setdiff1d(np.arange(g.n), strong)[:k - strong.size]
+    return frozenset(strong.tolist() + rest.tolist())

@@ -116,9 +116,10 @@ def test_boundary_counts_matches_scalar_on_subsets():
         n = int(rng.integers(2, 25))
         g = random_multigraph(rng, n, int(rng.integers(1, 50)))
         members = {int(v) for v in rng.choice(n, size=rng.integers(1, n), replace=False)}
-        counts = g.boundary_counts(members)
-        for u in range(n):
-            assert counts[u] == g.boundary_count(u, members)
+        for subset in (members, set()):
+            counts = g.boundary_counts(subset)
+            for u in range(n):
+                assert counts[u] == g.boundary_count(u, subset)
 
 
 def test_write_then_parse_preserves_degrees_and_edges():

@@ -8,6 +8,7 @@ from essc.errors import DegenerateGraphError
 from essc.graph import MultiGraph
 from essc.significance import (
     _binomial_survival_batch,
+    _ranked,
     bh_select,
     binomial_survival,
     block_probability,
@@ -17,7 +18,14 @@ from essc.significance import (
     select_by_rank,
 )
 
-from helpers import bh_bruteforce, random_simple_gnp, survival_exact, triangle, two_cliques
+from helpers import (
+    bh_bruteforce,
+    random_multigraph,
+    random_simple_gnp,
+    survival_exact,
+    triangle,
+    two_cliques,
+)
 
 
 def test_block_probability_examples():
@@ -99,6 +107,22 @@ def test_connection_pvalue_two_cliques():
 def test_connection_pvalue_isolated_vertex():
     g = MultiGraph.from_edges(4, [(0, 1), (1, 2)])
     assert connection_pvalue(g, 3, {0, 1}) == 1.0
+
+
+def test_connection_pvalue_is_the_table_entry():
+    # loops and multi-edges included; the explanation of one vertex must
+    # agree exactly with the p-value the selection step ranks it by
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        g = random_multigraph(rng, n, int(rng.integers(1, 4 * n)))
+        members = {int(v) for v in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
+        table = pvalue_table(g, members).pvalues
+        for u in range(n):
+            assert connection_pvalue(g, u, members) == table[u]
+        vertices, ranked = _ranked(g, members)
+        assert np.array_equal(table[vertices], ranked)
+        assert np.all(np.delete(table, vertices) == 1.0)
 
 
 def test_edgeless_graph_rejected_everywhere():
