@@ -290,7 +290,7 @@ def _cmd_oracle(args) -> int:
     else:
         target = float(np.median(degrees))
     u = int(np.argmin(np.abs(degrees - target)))
-    others = np.array([v for v in range(args.n) if v != u])
+    others = np.delete(np.arange(args.n), u)
     size = int(round(args.set_fraction * args.n))
     size = max(1, min(size, len(others)))
     members = rng.choice(others, size=size, replace=False)

@@ -2,9 +2,11 @@
 
 Vertices are dense integer ids ``0..n-1``. Edges form a multiset of
 unordered pairs; self-loops are allowed and contribute 2 to their
-endpoint's degree. Adjacency is stored CSR-style (one row per vertex),
-so the boundary counts against a vertex set are read from the members'
-rows alone. Instances are immutable after construction.
+endpoint's degree. The CSR adjacency (one row per vertex) is the only
+edge store: rows are symmetric, each row's columns are strictly
+increasing, and a self-loop entry holds twice its multiplicity. Boundary
+counts against a vertex set are read from the members' rows alone.
+Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -34,53 +36,31 @@ class MultiGraph:
     `edge_count` counts edges with multiplicity (a self-loop counts 1).
     """
 
-    __slots__ = (
-        "n",
-        "edge_count",
-        "degrees",
-        "labels",
-        "_indptr",
-        "_indices",
-        "_data",
-        "_pair_u",
-        "_pair_v",
-        "_pair_mult",
-    )
+    __slots__ = ("n", "edge_count", "degrees", "labels", "_indptr", "_indices", "_data")
 
     def __init__(
         self,
         n: int,
-        pair_u: np.ndarray,
-        pair_v: np.ndarray,
-        pair_mult: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
         labels: Sequence[str] | None = None,
     ):
-        # pair arrays must already be canonical: u <= v, (u, v) strictly
-        # increasing, multiplicities >= 1. Use the classmethods to build.
+        # the CSR arrays must already be canonical: symmetric rows, columns
+        # strictly increasing within a row, a loop entry holding 2x its
+        # multiplicity (so row sums are degrees). Use the classmethods to build.
         self.n = int(n)
-        self._pair_u = pair_u
-        self._pair_v = pair_v
-        self._pair_mult = pair_mult
-        self.edge_count = int(pair_mult.sum()) if pair_mult.size else 0
+        self._indptr = indptr
+        self._indices = indices
+        self._data = data
+        self.degrees = np.diff(np.concatenate([[0], np.cumsum(data)])[indptr])
+        self.edge_count = int(data.sum()) // 2
         if labels is not None:
             if len(labels) != self.n:
                 raise ValueError("labels must have one entry per vertex")
             self.labels = [str(x) for x in labels]
         else:
             self.labels = [str(i) for i in range(self.n)]
-
-        loops = pair_u == pair_v
-        # adjacency entry values: a self-loop row stores 2x multiplicity so
-        # that row sums equal degrees and membership sums equal boundary counts
-        rows = np.concatenate([pair_u, pair_v[~loops]])
-        cols = np.concatenate([pair_v, pair_u[~loops]])
-        vals = np.concatenate([np.where(loops, 2 * pair_mult, pair_mult), pair_mult[~loops]])
-        order = np.lexsort((cols, rows))
-        self._indices = cols[order].astype(np.int64, copy=False)
-        self._data = vals[order].astype(np.int64, copy=False)
-        counts = np.bincount(rows, minlength=self.n).astype(np.int64)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.degrees = np.bincount(rows, weights=vals, minlength=self.n).astype(np.int64)
 
     @classmethod
     def from_pair_arrays(
@@ -105,15 +85,12 @@ class MultiGraph:
             mult = np.asarray(mult, dtype=np.int64)
             if np.any(mult < 1):
                 raise ValueError("multiplicity must be >= 1")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if u.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(n, empty, empty.copy(), empty.copy(), labels)
-        key = lo * n + hi
-        uniq, inverse = np.unique(key, return_inverse=True)
-        pair_mult = np.bincount(inverse, weights=mult).astype(np.int64)
-        return cls(n, uniq // n, uniq % n, pair_mult, labels)
+        # both orientations of every edge; a loop's two land on one entry
+        keys, slot = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
+        data = np.bincount(slot, weights=np.concatenate([mult, mult]), minlength=keys.size)
+        rows, cols = np.divmod(keys, n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return cls(n, indptr, cols, data.astype(np.int64), labels)
 
     @classmethod
     def from_edges(
@@ -195,21 +172,23 @@ class MultiGraph:
         """Sum of member degrees."""
         return int(self.degrees[self._member_ids(members)].sum())
 
+    def _rows(self) -> np.ndarray:
+        """The row of every adjacency entry."""
+        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+
     def edge_classes(self) -> Iterator[tuple[int, int, int]]:
         """Distinct edges as ``(u, v, multiplicity)``, sorted by ``(u, v)``."""
-        for u, v, m in zip(self._pair_u, self._pair_v, self._pair_mult):
-            yield int(u), int(v), int(m)
+        rows = self._rows()
+        upper = self._indices >= rows
+        u, v, m = rows[upper], self._indices[upper], self._data[upper]
+        m = np.where(u == v, m // 2, m)
+        return zip(u.tolist(), v.tolist(), m.tolist())
 
     def simplified(self) -> "MultiGraph":
         """Copy with multi-edges collapsed to single edges and loops dropped."""
-        keep = self._pair_u != self._pair_v
-        return MultiGraph(
-            self.n,
-            self._pair_u[keep],
-            self._pair_v[keep],
-            np.ones(int(keep.sum()), dtype=np.int64),
-            self.labels,
-        )
+        rows = self._rows()
+        upper = self._indices > rows
+        return MultiGraph.from_pair_arrays(self.n, rows[upper], self._indices[upper], labels=self.labels)
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={self.edge_count})"
@@ -230,16 +209,10 @@ def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
     vs: list[int] = []
     ms: list[int] = []
 
-    def intern(label: str) -> int:
-        if label not in id_of:
-            id_of[label] = len(id_of)
-        return id_of[label]
-
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) not in (2, 3):
             raise EdgeListParseError(lineno, f"expected 2 or 3 tokens, got {len(tokens)}")
         mult = 1
@@ -250,8 +223,8 @@ def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
                 raise EdgeListParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer") from None
             if mult < 1:
                 raise EdgeListParseError(lineno, f"multiplicity must be >= 1, got {mult}")
-        us.append(intern(tokens[0]))
-        vs.append(intern(tokens[1]))
+        us.append(id_of.setdefault(tokens[0], len(id_of)))
+        vs.append(id_of.setdefault(tokens[1], len(id_of)))
         ms.append(mult)
 
     labels = list(id_of)
@@ -270,5 +243,5 @@ def write_edge_list(g: MultiGraph) -> str:
     Isolated vertices carry no edges and are not representable in this
     format.
     """
-    lines = [f"{g.labels[u]} {g.labels[v]} {m}" for u, v, m in g.edge_classes()]
-    return "".join(line + "\n" for line in lines)
+    labels = g.labels
+    return "".join(f"{labels[u]} {labels[v]} {m}\n" for u, v, m in g.edge_classes())

@@ -167,15 +167,6 @@ class DiscretePMF:
         if self.mass and abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses sum to {total}, not 1")
 
-    @classmethod
-    def from_samples(cls, values: Iterable[int]) -> "DiscretePMF":
-        counts: dict[int, int] = {}
-        total = 0
-        for v in values:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-            total += 1
-        return cls({k: c / total for k, c in sorted(counts.items())})
-
 
 def binomial_pmf(k: int, p: float) -> DiscretePMF:
     """Binomial(k, p) as a DiscretePMF over 0..k."""

@@ -25,7 +25,7 @@ from essc.detect import (
     write_communities,
 )
 from essc.errors import DegenerateGraphError
-from essc.graph import MultiGraph
+from essc.graph import MultiGraph, write_edge_list
 from essc.metrics import jaccard
 from essc.significance import bh_select
 
@@ -177,30 +177,36 @@ def test_essc_fallback_recovers_block_after_empty_search():
 
 _LFR = dict(n=1000, dbar=40, tau1=2.0, tau2=1.0, s1=20, s2=100, rng_seed=7)
 
-# sha256 of (write_communities text, repr(seed_log)) for each run; any change
-# to the order of the communities, their members or the seed log shows here
+# sha256 of (write_communities text, repr(seed_log), write_edge_list text)
+# for each run; any change to the generated graph, its serialization, the
+# order of the communities, their members or the seed log shows here
 _GOLDEN = [
     (BenchmarkSpec(kind="lfr", mu=0.3, rho=0.0, **_LFR), "max_degree",
      "01ec27a945ca1c60f82876b3cdf79f39193d625cf7943edab64559632bd20f6b",
-     "6a35eb7514b627aff58459e2058f0ba018ba2e4f586a3444416694e79698f48d"),
+     "6a35eb7514b627aff58459e2058f0ba018ba2e4f586a3444416694e79698f48d",
+     "028c0bc08d090e29aad2d552de7753f406e7a31a94ce7e316f1d709a68485f1a"),
     (BenchmarkSpec(kind="lfr", mu=0.3, rho=0.0, **_LFR), "all_neighborhoods",
      "81a5e695610b65ff22e6d5b834d991136dfb93f06c82777764e7470a1bb58c67",
-     "fdfc8cb7b26fe66f7549d46adbfbbb676075c2033fcec1e12caca7d9665a1df1"),
+     "fdfc8cb7b26fe66f7549d46adbfbbb676075c2033fcec1e12caca7d9665a1df1",
+     "028c0bc08d090e29aad2d552de7753f406e7a31a94ce7e316f1d709a68485f1a"),
     (BenchmarkSpec(kind="lfr_bg", mu=0.1, pi=0.5, **_LFR), "max_degree",
      "e97b7de9ac276648f3cf821c33d92143e1e1bafef8d48ffb69d4c1ebf81540c0",
-     "ccad01addc1d84b0d1bee64294a9f7be2a6ad2189716a33b525f26d233500af9"),
+     "ccad01addc1d84b0d1bee64294a9f7be2a6ad2189716a33b525f26d233500af9",
+     "33fb8b2db61ea29bfc8ec0fc5305000fee2b195d3bfae3d7c22f4da804bc65f3"),
     # a c3 graph whose first search empties out and whose retry is accepted
     (BenchmarkSpec(kind="sbm_single", n=1000, pi=0.04, kappa=10,
                    theta=single_embedded_theta(1000, 0.04, 10, 40), rng_seed=43_001),
      "max_degree",
      "342327115b24f3541a9fca7725f95f00cc0a479da60875460ba058f7b751fecf",
-     "abb19164fe1faaca28ff139928578ca5829fe2a626da8246d4fa3d14d84872ca"),
+     "abb19164fe1faaca28ff139928578ca5829fe2a626da8246d4fa3d14d84872ca",
+     "50a22493455bc0e19b6b4dfcc8b4aef00f2532be1c9eb4e35d0a073a812d155b"),
 ]
 
 
-@pytest.mark.parametrize("spec, strategy, communities_sha, seed_log_sha", _GOLDEN)
-def test_essc_output_is_pinned(spec, strategy, communities_sha, seed_log_sha):
+@pytest.mark.parametrize("spec, strategy, communities_sha, seed_log_sha, edges_sha", _GOLDEN)
+def test_essc_output_is_pinned(spec, strategy, communities_sha, seed_log_sha, edges_sha):
     g, _ = generate(spec)
+    assert hashlib.sha256(write_edge_list(g).encode()).hexdigest() == edges_sha
     result = essc(g, 0.05, seed_strategy=strategy)
     text = write_communities(result.communities, result.background)
     assert hashlib.sha256(text.encode()).hexdigest() == communities_sha

@@ -1,5 +1,7 @@
 """Multigraph construction, counting, and edge-list round trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,20 @@ def test_simplified_drops_loops_and_multiplicity():
     assert g.edge_count == 7  # original untouched
 
 
+def test_csr_rows_match_the_edge_multiset():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 20))
+        u = rng.integers(0, n, size=int(rng.integers(0, 60)))
+        v = rng.integers(0, n, size=u.size)
+        g = MultiGraph.from_pair_arrays(n, u, v, labels=[f"v{i}" for i in range(n)])
+        pairs = Counter((min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist()))
+        assert list(g.edge_classes()) == [(a, b, m) for (a, b), m in sorted(pairs.items())]
+        for w in range(n):
+            assert np.all(np.diff(g.neighbors(w)) > 0)
+        assert g.simplified().labels == g.labels
+
+
 def test_neighbors_include_loop_endpoint():
     g = MultiGraph.from_edges(3, [(0, 0), (0, 1)])
     assert set(g.neighbors(0).tolist()) == {0, 1}
@@ -158,3 +174,8 @@ def test_empty_graph_and_zero_vertices():
     g = parse_edge_list("")
     assert g.n == 0 and g.edge_count == 0
     assert write_edge_list(g) == ""
+    edgeless = MultiGraph.from_pair_arrays(5, [], [])
+    assert edgeless.n == 5 and edgeless.edge_count == 0
+    assert edgeless.degrees.tolist() == [0] * 5
+    assert write_edge_list(edgeless) == ""
+    assert edgeless.boundary_counts({0, 1}).tolist() == [0] * 5
