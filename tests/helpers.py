@@ -43,17 +43,42 @@ def random_simple_gnp(rng: np.random.Generator, n: int, p: float) -> MultiGraph:
 
 def survival_exact(k: int, p: float, x: int) -> Fraction:
     """P(Bin(k, p) >= x) in exact rational arithmetic (p taken as the
-    exact binary64 rational)."""
+    exact binary64 rational a/d, so every term is an integer over d**k)."""
     if x <= 0:
         return Fraction(1)
     if x > k:
         return Fraction(0)
-    pf = Fraction(p)
-    qf = 1 - pf
-    return sum(
-        (comb(k, j) * pf ** j * qf ** (k - j) for j in range(x, k + 1)),
-        start=Fraction(0),
-    )
+    a, d = Fraction(p).as_integer_ratio()
+    total = sum(comb(k, j) * a ** j * (d - a) ** (k - j) for j in range(x, k + 1))
+    return Fraction(total, d ** k)
+
+
+def boundary_law_exact(degrees, u: int, b) -> dict[int, Fraction]:
+    """Exact law of the edge count between `u` and set `b` under uniform
+    stub pairing, by enumerating every perfect matching of the stubs.
+
+    A self-loop at `u` counts 2 when `u` is in `b`. Meant for at most 10
+    stubs (945 matchings).
+    """
+    owner = [v for v, d in enumerate(degrees) for _ in range(d)]
+    if len(owner) > 10:
+        raise ValueError("too many stubs to enumerate")
+    members = set(b)
+    tally: dict[int, int] = {}
+
+    def pair(rest: list[int], count: int) -> None:
+        if not rest:
+            tally[count] = tally.get(count, 0) + 1
+            return
+        s, others = owner[rest[0]], rest[1:]
+        for i, j in enumerate(others):
+            t = owner[j]
+            gain = (s == u and t in members) + (t == u and s in members)
+            pair(others[:i] + others[i + 1:], count + gain)
+
+    pair(list(range(len(owner))), 0)
+    total = sum(tally.values())
+    return {c: Fraction(w, total) for c, w in sorted(tally.items())}
 
 
 def survival_reference(k: int, p: float, x: int, digits: int = 60) -> Decimal:

@@ -17,7 +17,7 @@ from essc.metrics import (
     tv_distance,
 )
 
-from helpers import survival_exact
+from helpers import boundary_law_exact, survival_exact
 
 
 def test_jaccard_examples():
@@ -234,6 +234,38 @@ def test_empirical_boundary_validation():
         empirical_boundary_distribution([1, 1], 0, [1], 0, 1)
     with pytest.raises(ValueError):
         empirical_boundary_distribution([1, 1], 5, [1], 10, 1)
+    # a negative degree away from u, with an even degree sum
+    with pytest.raises(ParameterError):
+        empirical_boundary_distribution([2, -1, 1], 0, [2], 10, 1)
+    with pytest.raises(ParameterError):
+        empirical_boundary_distribution([-2, 2], 1, [0], 10, 1)
+    for member in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            empirical_boundary_distribution([1, 1, 2], 0, [1, member], 10, 1)
+
+
+@pytest.mark.parametrize(
+    "degrees, u, b",
+    [
+        ([2, 1, 2, 1, 2], 0, [1, 2]),  # u outside b
+        ([3, 1, 2, 2], 0, [0, 1]),  # u in b, self-loops count 2
+        ([3, 3, 2, 2], 1, [1, 3]),  # u in b, b's other member has 2 stubs
+        ([4, 3, 1], 0, [0, 1, 2]),  # every stub in b: the count is always 4
+    ],
+)
+def test_empirical_boundary_matches_exact_matching_law(degrees, u, b):
+    samples = 40_000
+    exact = {c: float(w) for c, w in boundary_law_exact(degrees, u, b).items()}
+    emp = empirical_boundary_distribution(degrees, u, b, samples, 11)
+    # the sum of per-outcome standard errors bounds the mean TV from above
+    se = 0.5 * sum(math.sqrt(q * (1 - q) / samples) for q in exact.values())
+    assert tv_distance(emp, DiscretePMF(exact)) <= 4 * se
+
+
+def test_empirical_boundary_is_reproducible():
+    degrees = [5, 3, 2, 4, 1, 1]
+    first = empirical_boundary_distribution(degrees, 0, [0, 3], 5000, 8)
+    assert empirical_boundary_distribution(degrees, 0, [0, 3], 5000, 8) == first
 
 
 def test_empirical_boundary_degree_zero_vertex():

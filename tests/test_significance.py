@@ -1,5 +1,8 @@
 """Block probabilities, binomial tails, and FDR selection."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -79,6 +82,16 @@ def test_binomial_survival_batch_matches_exact():
         for k, x, val in zip(ks, xs, got):
             exact = float(survival_exact(int(k), p, int(x)))
             assert abs(val - exact) <= 1e-12
+
+
+def test_survival_exact_equals_rational_term_sum():
+    for k, p, x in ((0, 0.3, 0), (7, 0.1, 3), (30, 0.999, 29), (45, 0.77, 12), (120, 0.02, 5)):
+        pf = Fraction(p)
+        direct = sum(
+            (comb(k, j) * pf ** j * (1 - pf) ** (k - j) for j in range(x, k + 1)),
+            start=Fraction(0),
+        )
+        assert survival_exact(k, p, x) == direct
 
 
 def test_binomial_survival_monotone_in_threshold():
