@@ -109,13 +109,22 @@ def connection_pvalue(g: MultiGraph, u: int, b: Iterable[int]) -> float:
     return float(pvalue_table(g, b).pvalues[u])
 
 
+def _scored(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices with an edge into `b`, ascending, and their p-values.
+    Every other vertex has p = 1."""
+    if g.edge_count == 0:
+        raise DegenerateGraphError("graph has no edges; reference model is undefined")
+    vertices, counts = g.boundary(b)
+    # the members' rows sum to their degrees, so the counts sum to vol(B)
+    p = int(counts.sum()) / (2.0 * g.edge_count)
+    return vertices, _binomial_survival_batch(g.degrees[vertices], p, counts)
+
+
 def _ranked(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """The vertices with an edge into `b`, ordered by (p-value, id), and
     their p-values. Every other vertex has p = 1 and comes after these in
     the full order."""
-    p = block_probability(g, b)
-    vertices, counts = g.boundary(b)
-    pvalues = _binomial_survival_batch(g.degrees[vertices], p, counts)
+    vertices, pvalues = _scored(g, b)
     # a stable sort keeps the ascending ids in order among equal p-values
     order = np.argsort(pvalues, kind="stable")
     return vertices[order], pvalues[order]
@@ -147,10 +156,20 @@ def bh_select(g: MultiGraph, b: Iterable[int], alpha: float) -> VertexSet:
     """One update step: vertices significantly connected to `b` at level alpha.
 
     A vertex with no edge into `b` has p = 1 and never passes at alpha < 1,
-    so only the others are scored; the BH denominator is still n.
+    so only the K vertices with an edge into `b` are scored; the BH
+    denominator is still n. Only those with p <= alpha * K / n are ordered
+    by (p-value, id) and cut.
     """
-    vertices, pvalues = _ranked(g, b)
-    return frozenset(vertices[:_bh_cut(pvalues, g.n, alpha)].tolist())
+    vertices, pvalues = _scored(g, b)
+    # the cut's threshold alpha * k / n rounds monotonically in k and no
+    # rank past K exists, so a vertex above alpha * K / n fails at every
+    # rank. The vertices left out are a suffix of the (p-value, id) order
+    # that the cut never reaches, and the kept ones are its prefix.
+    keep = pvalues <= alpha * vertices.size / g.n
+    vertices, pvalues = vertices[keep], pvalues[keep]
+    # a stable sort keeps the ascending ids in order among equal p-values
+    order = np.argsort(pvalues, kind="stable")
+    return frozenset(vertices[order[:_bh_cut(pvalues[order], g.n, alpha)]].tolist())
 
 
 def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:
@@ -159,7 +178,10 @@ def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:
     Vertices are ordered by (p-value against `b`, id), the same order
     `select_by_fdr` cuts, and the first `k` are returned whatever their
     p-values. Past the vertices with p < 1, that order is by id alone.
+    Raises ValueError unless 0 <= k <= n.
     """
+    if not 0 <= k <= g.n:
+        raise ValueError(f"k must lie in [0, {g.n}], got {k}")
     vertices, pvalues = _ranked(g, b)
     strong = vertices[pvalues < 1.0][:k]
     rest = np.setdiff1d(np.arange(g.n), strong)[:k - strong.size]

@@ -97,6 +97,15 @@ def test_out_of_range_ids_rejected():
         g.volume({5})
     with pytest.raises(ValueError):
         as_vertex_set({-1}, 3)
+    # a float id is refused, not truncated to the vertex below it
+    with pytest.raises(TypeError):
+        as_vertex_set([2.7], 3)
+    with pytest.raises(TypeError):
+        g.volume([2.7])
+    with pytest.raises(TypeError):
+        g.boundary([1.5])
+    with pytest.raises(TypeError):
+        g.boundary_count(1, [2.5])
 
 
 def test_full_set_identities_random_graphs():
@@ -122,6 +131,13 @@ def test_boundary_counts_matches_scalar_on_subsets():
             counts = g.boundary_counts(subset)
             for u in range(n):
                 assert counts[u] == g.boundary_count(u, subset)
+            # the selection step relies on these: ascending vertices, only
+            # positive counts, and counts that sum to vol(B) with loops
+            vertices, local = g.boundary(subset)
+            assert np.all(np.diff(vertices) > 0)
+            assert np.all(local > 0)
+            assert np.array_equal(local, counts[vertices])
+            assert int(local.sum()) == g.volume(subset)
 
 
 def test_write_then_parse_preserves_degrees_and_edges():

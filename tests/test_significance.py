@@ -221,6 +221,17 @@ def test_bh_select_agrees_with_bruteforce_scan():
         alpha = float(rng.uniform(0.01, 0.95))
         expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
         assert bh_select(g, members, alpha) == expected
+    # multigraphs with loops, members up to the whole vertex set, so every
+    # vertex can have an edge into B (K = n, the widest pre-filter)
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n = int(rng.integers(2, 40))
+        g = random_multigraph(rng, n, int(rng.integers(1, 6 * n)))
+        size = int(rng.integers(1, n + 1))
+        members = {int(v) for v in rng.choice(n, size=size, replace=False)}
+        alpha = float(rng.uniform(0.01, 0.95))
+        expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+        assert bh_select(g, members, alpha) == expected
 
 
 def test_select_by_rank_orders_by_pvalue_then_id():
@@ -237,3 +248,11 @@ def test_select_by_rank_orders_by_pvalue_then_id():
         # the BH cut keeps a prefix of the same order
         selected = bh_select(g, members, 0.2)
         assert select_by_rank(g, members, len(selected)) == selected
+
+
+def test_select_by_rank_rejects_k_outside_range():
+    g = two_cliques(4)
+    assert len(select_by_rank(g, {0, 1}, g.n)) == g.n
+    for k in (-1, g.n + 1):
+        with pytest.raises(ValueError):
+            select_by_rank(g, {0, 1}, k)
