@@ -31,6 +31,7 @@ from .graph import MultiGraph, VertexSet
 KINDS = ("er", "config", "sbm_single", "lfr", "lfr_bg")
 
 _REWIRE_PASSES = 100
+_SELF_PAIR_PASSES = 20
 _ASSIGN_ATTEMPTS = 100
 
 
@@ -97,49 +98,53 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def _unrank_pair(t: int, n: int) -> tuple[int, int]:
-    # invert the row-major enumeration of pairs (i, j), i < j
-    i = int((2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * t)) // 2)
-    while (i + 1) * (2 * n - i - 2) // 2 <= t:
-        i += 1
-    while i * (2 * n - i - 1) // 2 > t:
-        i -= 1
-    j = t - i * (2 * n - i - 1) // 2 + i + 1
-    return i, j
+def _unrank_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the row-major enumeration of pairs (i, j), i < j < n."""
+    # the discriminant is exact in int64 up to n of about 1.5e9; its float
+    # root can land one row too far (seen at row ends from n = 2e8), and one
+    # correction step each way repairs a miss of one row in either direction
+    # (exact at row boundaries checked up to n = 1e9)
+    disc = (2 * n - 1) ** 2 - 8 * t
+    i = ((2 * n - 1 - np.sqrt(disc)) // 2).astype(np.int64)
+    i += (i + 1) * (2 * n - i - 2) // 2 <= t
+    i -= i * (2 * n - i - 1) // 2 > t
+    return i, t - i * (2 * n - i - 1) // 2 + i + 1
 
 
-def _bernoulli_indices(space: int, p: float, rng: np.random.Generator) -> list[int]:
+def _bernoulli_indices(space: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of successes among `space` independent Bernoulli(p) slots."""
     if space <= 0 or p <= 0.0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     if p >= 1.0:
-        return list(range(space))
+        return np.arange(space, dtype=np.int64)
     out: list[int] = []
     logq = math.log1p(-p)
     t = -1
     while True:
         t += 1 + int(math.log1p(-rng.random()) / logq)
         if t >= space:
-            return out
+            return np.array(out, dtype=np.int64)
         out.append(t)
 
 
-def _pairs_within(members: np.ndarray, p: float, rng) -> tuple[list[int], list[int]]:
-    m = len(members)
-    us, vs = [], []
-    for t in _bernoulli_indices(m * (m - 1) // 2, p, rng):
-        i, j = _unrank_pair(t, m)
-        us.append(int(members[i]))
-        vs.append(int(members[j]))
-    return us, vs
+def _bernoulli_pairs(
+    a: np.ndarray, b: np.ndarray | None, p: float, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the pairs kept, each independently with probability p.
+
+    The pairs are those within `a` when `b` is None, else those across
+    `a` x `b`.
+    """
+    if b is None:
+        i, j = _unrank_pairs(_bernoulli_indices(len(a) * (len(a) - 1) // 2, p, rng), len(a))
+        return a[i], a[j]
+    t = _bernoulli_indices(len(a) * len(b), p, rng)
+    return a[t // len(b)], b[t % len(b)]
 
 
-def _pairs_between(a: np.ndarray, b: np.ndarray, p: float, rng) -> tuple[list[int], list[int]]:
-    us, vs = [], []
-    for t in _bernoulli_indices(len(a) * len(b), p, rng):
-        us.append(int(a[t // len(b)]))
-        vs.append(int(b[t % len(b)]))
-    return us, vs
+def _from_parts(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> MultiGraph:
+    us, vs = zip(*parts)
+    return MultiGraph.from_pair_arrays(n, np.concatenate(us), np.concatenate(vs))
 
 
 def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
@@ -155,8 +160,7 @@ def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, Gro
         raise ParameterError(f"dbar={dbar} exceeds n-1={n - 1}")
     rng = _rng(rng_seed)
     p = dbar / (n - 1) if n > 1 else 0.0
-    us, vs = _pairs_within(np.arange(n), p, rng)
-    g = MultiGraph.from_pair_arrays(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
+    g = MultiGraph.from_pair_arrays(n, *_bernoulli_pairs(np.arange(n), None, p, rng))
     return g, GroundTruth(communities=[], background=frozenset(range(n)))
 
 
@@ -164,11 +168,17 @@ def pair_stubs(degrees: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarra
     """Uniform stub pairing: the sampling core of `gen_configuration`.
 
     Returns endpoint arrays of the matched edges; self-loops and
-    multi-edges are kept.
+    multi-edges are kept. An odd degree sum raises ParameterError.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
-    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
-    perm = rng.permutation(stubs)
+    return _pair_up(np.repeat(np.arange(len(degrees), dtype=np.int64), degrees), rng)
+
+
+def _pair_up(owners: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform perfect matching of stubs, given as the owner of each stub."""
+    if owners.size % 2 != 0:
+        raise ParameterError("degree sum must be even")
+    perm = rng.permutation(owners)
     return perm[0::2], perm[1::2]
 
 
@@ -177,8 +187,6 @@ def gen_configuration(degrees: Sequence[int] | np.ndarray, rng_seed=None) -> Mul
     degrees = np.asarray(degrees, dtype=np.int64)
     if degrees.size and degrees.min() < 0:
         raise ParameterError("degrees must be >= 0")
-    if int(degrees.sum()) % 2 != 0:
-        raise ParameterError("degree sum must be even")
     rng = _rng(rng_seed)
     a, b = pair_stubs(degrees, rng)
     return MultiGraph.from_pair_arrays(len(degrees), a, b)
@@ -258,17 +266,12 @@ def gen_single_embedded(
     in_comm = rng.random(n) < pi
     c1 = np.nonzero(in_comm)[0]
     c2 = np.nonzero(~in_comm)[0]
-    us, vs = _pairs_within(c1, theta * kappa, rng)
-    for part in (_pairs_between(c1, c2, theta, rng) if len(c1) and len(c2) else ([], []),
-                 _pairs_within(c2, theta, rng)):
-        us += part[0]
-        vs += part[1]
-    g = MultiGraph.from_pair_arrays(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
-    truth = GroundTruth(
-        communities=[frozenset(int(v) for v in c1)],
-        background=frozenset(int(v) for v in c2),
-    )
-    return g, truth
+    g = _from_parts(n, [
+        _bernoulli_pairs(c1, None, theta * kappa, rng),
+        _bernoulli_pairs(c1, c2, theta, rng),
+        _bernoulli_pairs(c2, None, theta, rng),
+    ])
+    return g, GroundTruth(communities=[frozenset(c1.tolist())], background=frozenset(c2.tolist()))
 
 
 def _sample_community_sizes(slots: int, tau2: float, s1: int, s2: int, rng) -> list[int]:
@@ -321,7 +324,6 @@ def _assign_memberships(
     -1 for absent second memberships, or None if the pass wedged.
     """
     n = len(internal)
-    k = len(sizes)
     capacity = np.array(sizes, dtype=np.int64)
     size_arr = np.array(sizes, dtype=np.int64)
     m1 = np.full(n, -1, dtype=np.int64)
@@ -359,81 +361,25 @@ def _assign_memberships(
     return m1, m2
 
 
-def _fix_self_pairs(a: np.ndarray, b: np.ndarray, rng, passes: int = 20) -> None:
-    """Swap partners until no edge pairs a stub with its own vertex.
+def _rewire(a: np.ndarray, b: np.ndarray, collides, passes: int, rng) -> int:
+    """Swap the `b` ends of colliding pairs with random partners, in place.
 
-    Leaves irreducible self-pairs in place (legal in a multigraph);
-    callers treating them as collisions must re-check.
+    Runs at most `passes` passes and returns the number of pairs for
+    which ``collides(a, b)`` still holds.
     """
     for _ in range(passes):
-        bad = np.nonzero(a == b)[0]
+        bad = np.flatnonzero(collides(a, b))
         if bad.size == 0:
-            return
+            return 0
         partners = rng.integers(0, len(a), size=bad.size)
         for i, j in zip(bad, partners):
             b[i], b[j] = b[j], b[i]
+    return int(collides(a, b).sum())
 
 
-def _wire_internal(owners: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    assert owners.size % 2 == 0, "internal stub count must be even"
-    stubs = rng.permutation(owners)
-    a, b = stubs[0::2].copy(), stubs[1::2].copy()
-    _fix_self_pairs(a, b, rng)
-    return a, b
-
-
-def _wire_external(
-    owners: np.ndarray, m1: np.ndarray, m2: np.ndarray, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Globally match external stubs, rejecting within-community pairings."""
-    assert owners.size % 2 == 0, "external stub count must be even"
-    stubs = rng.permutation(owners)
-    a, b = stubs[0::2].copy(), stubs[1::2].copy()
-
-    def collisions() -> np.ndarray:
-        bad = a == b
-        bad |= m1[a] == m1[b]
-        bad |= (m2[b] >= 0) & (m1[a] == m2[b])
-        bad |= (m2[a] >= 0) & (m2[a] == m1[b])
-        bad |= (m2[a] >= 0) & (m2[a] == m2[b])
-        return bad
-
-    for _ in range(_REWIRE_PASSES):
-        bad = np.nonzero(collisions())[0]
-        if bad.size == 0:
-            return a, b
-        partners = rng.integers(0, len(a), size=bad.size)
-        for i, j in zip(bad, partners):
-            b[i], b[j] = b[j], b[i]
-    remaining = int(collisions().sum())
-    raise GenerationError(
-        f"external wiring kept {remaining} within-community pairs after "
-        f"{_REWIRE_PASSES} rewiring passes ({len(a)} edges total)"
-    )
-
-
-def gen_lfr(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
-    """Power-law benchmark graph with planted communities.
-
-    Construction: sample degrees (exponent tau1, mean dbar) and community
-    sizes (exponent tau2 on [s1, s2]); assign vertices to communities,
-    with a rho fraction belonging to exactly two; split each vertex's
-    degree into an internal share (1 - mu) and external share mu, the
-    external share counted outside all of the vertex's communities; wire
-    internal stubs within each community and external stubs globally,
-    rejecting external pairs that land inside a community.
-    """
-    spec.validate()
-    if spec.kind != "lfr":
-        raise ParameterError(f"expected an lfr spec, got kind {spec.kind!r}")
-    rng = _rng(rng_seed if rng_seed is not None else spec.rng_seed)
+def _lfr_edges(spec: BenchmarkSpec, rng) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Endpoint arrays of an ``lfr`` graph and its communities' members."""
     n = spec.n
-    if n == 0:
-        return (
-            MultiGraph.from_pair_arrays(0, np.zeros(0, np.int64), np.zeros(0, np.int64)),
-            GroundTruth(communities=[], background=frozenset()),
-        )
-
     # upper degree limit: internal degrees must stay hostable by the largest
     # community, else no community-sized wiring exists; the lower limit then
     # follows from the mean constraint
@@ -458,51 +404,72 @@ def gen_lfr(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth
         )
     m1, m2 = assignment
 
-    k = len(sizes)
-    comm_members: list[list[int]] = [[] for _ in range(k)]
-    comm_share: list[list[int]] = [[] for _ in range(k)]
-    for v in range(n):
-        y = int(internal[v])
-        if m2[v] >= 0:
-            comm_members[m1[v]].append(v)
-            comm_share[m1[v]].append(y - y // 2)
-            comm_members[m2[v]].append(v)
-            comm_share[m2[v]].append(y // 2)
-        else:
-            comm_members[m1[v]].append(v)
-            comm_share[m1[v]].append(y)
+    # one seat per (vertex, community), grouped by community with members
+    # ascending; a doubly-assigned vertex splits its internal degree
+    double = m2 >= 0
+    half = internal // 2
+    comm = np.concatenate([m1, m2[double]])
+    vert = np.concatenate([np.arange(n), np.flatnonzero(double)])
+    share = np.concatenate([np.where(double, internal - half, internal), half[double]])
+    order = np.lexsort((vert, comm))
+    vert, share = vert[order], share[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(comm, minlength=len(sizes)))])
+    members = [vert[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    shares = [share[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     external = degrees - internal
-    edge_us: list[np.ndarray] = []
-    edge_vs: list[np.ndarray] = []
-    for c in range(k):
-        members = comm_members[c]
-        share = comm_share[c]
-        if sum(share) % 2 == 1:
-            # move one stub to the external pool to make the count even
-            j = max(range(len(share)), key=lambda i: (share[i], -members[i]))
-            share[j] -= 1
-            external[members[j]] += 1
-        owners = np.repeat(np.array(members, dtype=np.int64), np.array(share, dtype=np.int64))
-        if owners.size:
-            a, b = _wire_internal(owners, rng)
-            edge_us.append(a)
-            edge_vs.append(b)
+    edges = []
+    for who, seats in zip(members, shares):
+        if seats.sum() % 2 == 1:
+            # move one stub of the largest share (smallest id on ties) to the
+            # external pool to make the count even
+            j = int(np.argmax(seats))
+            seats[j] -= 1
+            external[who[j]] += 1
+        a, b = _pair_up(np.repeat(who, seats), rng)
+        _rewire(a, b, np.equal, _SELF_PAIR_PASSES, rng)  # loops left over are legal
+        edges.append((a, b))
 
-    ext_owners = np.repeat(np.arange(n, dtype=np.int64), external)
-    if ext_owners.size:
-        a, b = _wire_external(ext_owners, m1, m2, rng)
-        edge_us.append(a)
-        edge_vs.append(b)
+    def within_community(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        bad = a == b
+        bad |= m1[a] == m1[b]
+        bad |= (m2[b] >= 0) & (m1[a] == m2[b])
+        bad |= (m2[a] >= 0) & (m2[a] == m1[b])
+        bad |= (m2[a] >= 0) & (m2[a] == m2[b])
+        return bad
 
-    us = np.concatenate(edge_us) if edge_us else np.zeros(0, dtype=np.int64)
-    vs = np.concatenate(edge_vs) if edge_vs else np.zeros(0, dtype=np.int64)
-    g = MultiGraph.from_pair_arrays(n, us, vs)
-    truth = GroundTruth(
-        communities=[frozenset(members) for members in comm_members],
-        background=frozenset(),
+    a, b = _pair_up(np.repeat(np.arange(n, dtype=np.int64), external), rng)
+    remaining = _rewire(a, b, within_community, _REWIRE_PASSES, rng)
+    if remaining:
+        raise GenerationError(
+            f"external wiring kept {remaining} within-community pairs after "
+            f"{_REWIRE_PASSES} rewiring passes ({len(a)} edges total)"
+        )
+    edges.append((a, b))
+    us, vs = zip(*edges)
+    return np.concatenate(us), np.concatenate(vs), members
+
+
+def gen_lfr(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
+    """Power-law benchmark graph with planted communities.
+
+    Construction: sample degrees (exponent tau1, mean dbar) and community
+    sizes (exponent tau2 on [s1, s2]); assign vertices to communities,
+    with a rho fraction belonging to exactly two; split each vertex's
+    degree into an internal share (1 - mu) and external share mu, the
+    external share counted outside all of the vertex's communities; wire
+    internal stubs within each community and external stubs globally,
+    rejecting external pairs that land inside a community.
+    """
+    spec.validate()
+    if spec.kind != "lfr":
+        raise ParameterError(f"expected an lfr spec, got kind {spec.kind!r}")
+    rng = _rng(rng_seed if rng_seed is not None else spec.rng_seed)
+    us, vs, members = _lfr_edges(spec, rng)
+    g = MultiGraph.from_pair_arrays(spec.n, us, vs)
+    return g, GroundTruth(
+        communities=[frozenset(m.tolist()) for m in members], background=frozenset()
     )
-    return g, truth
 
 
 def gen_lfr_background(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
@@ -523,13 +490,11 @@ def gen_lfr_background(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, 
         raise ParameterError("dbar must not exceed n")
 
     in_block = rng.random(n) < spec.pi
-    c1 = np.nonzero(in_block)[0]
-    c2 = np.nonzero(~in_block)[0]
+    c1 = np.flatnonzero(in_block)
+    c2 = np.flatnonzero(~in_block)
 
+    parts = []
     communities: list[VertexSet] = []
-    edge_us: list[np.ndarray] = []
-    edge_vs: list[np.ndarray] = []
-    edge_ms: list[np.ndarray] = []
     if len(c1):
         if len(c1) < spec.s1:
             raise GenerationError(
@@ -544,33 +509,13 @@ def gen_lfr_background(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, 
             pi=None,
             rng_seed=None,
         )
-        g1, t1 = gen_lfr(sub, rng)
-        if g1.edge_count:
-            sub_u, sub_v, sub_m = map(np.array, zip(*g1.edge_classes()))
-            edge_us.append(c1[sub_u])
-            edge_vs.append(c1[sub_v])
-            edge_ms.append(sub_m.astype(np.int64))
-        communities = [frozenset(int(c1[v]) for v in comm) for comm in t1.communities]
-
-    if len(c2):
-        us, vs = _pairs_within(c2, p2, rng)
-        if len(c1):
-            cross = _pairs_between(c2, c1, p2, rng)
-            us += cross[0]
-            vs += cross[1]
-        edge_us.append(np.array(us, dtype=np.int64))
-        edge_vs.append(np.array(vs, dtype=np.int64))
-        edge_ms.append(np.ones(len(us), dtype=np.int64))
-
-    us = np.concatenate(edge_us) if edge_us else np.zeros(0, dtype=np.int64)
-    vs = np.concatenate(edge_vs) if edge_vs else np.zeros(0, dtype=np.int64)
-    ms = np.concatenate(edge_ms) if edge_ms else np.zeros(0, dtype=np.int64)
-    g = MultiGraph.from_pair_arrays(n, us, vs, ms)
-    truth = GroundTruth(
-        communities=communities,
-        background=frozenset(int(v) for v in c2),
-    )
-    return g, truth
+        sub_u, sub_v, members = _lfr_edges(sub, rng)
+        parts.append((c1[sub_u], c1[sub_v]))
+        communities = [frozenset(c1[m].tolist()) for m in members]
+    parts.append(_bernoulli_pairs(c2, None, p2, rng))
+    parts.append(_bernoulli_pairs(c2, c1, p2, rng))
+    g = _from_parts(n, parts)
+    return g, GroundTruth(communities=communities, background=frozenset(c2.tolist()))
 
 
 def generate(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:

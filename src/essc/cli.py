@@ -25,7 +25,6 @@ import numpy as np
 from . import bench, metrics
 from .detect import (
     DEFAULT_ALPHA,
-    DEFAULT_MAX_ITER,
     SEED_MAX_DEGREE,
     DetectionResult,
     essc,
@@ -70,7 +69,7 @@ def _cmd_detect(args) -> int:
     started = time.perf_counter()
     g = _load_graph(args.input, args.simplify)
     strategy = args.seed_strategy.replace("-", "_")
-    result = essc(g, alpha=args.alpha, seed_strategy=strategy, max_iter=args.max_iter)
+    result = essc(g, alpha=args.alpha, seed_strategy=strategy)
     Path(args.output).write_text(
         write_communities(result.communities, result.background, g.labels)
     )
@@ -80,7 +79,6 @@ def _cmd_detect(args) -> int:
             "input": args.input,
             "alpha": args.alpha,
             "seed_strategy": strategy,
-            "max_iter": args.max_iter,
             "simplify": args.simplify,
             "output": args.output,
         },
@@ -115,8 +113,6 @@ def _spec_from_args(args) -> bench.BenchmarkSpec:
             args.n, fields["pi"], fields["kappa"], fields.pop("dbar")
         )
         fields["dbar"] = None
-    if kind == "lfr" and fields["rho"] is None:
-        fields["rho"] = 0.0
     return bench.BenchmarkSpec(
         kind=kind,
         n=args.n,
@@ -225,7 +221,6 @@ def sweep_alpha(
     alphas: Sequence[float],
     reference_alpha: float,
     seed_strategy: str = SEED_MAX_DEGREE,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[dict]:
     """Run detection at each level and report stability against a reference.
 
@@ -237,10 +232,7 @@ def sweep_alpha(
         raise ValueError("alphas must be non-empty")
     if reference_alpha not in alphas:
         raise ValueError("reference_alpha must be one of the swept alphas")
-    runs = [
-        (a, essc(g, alpha=a, seed_strategy=seed_strategy, max_iter=max_iter))
-        for a in alphas
-    ]
+    runs = [(a, essc(g, alpha=a, seed_strategy=seed_strategy)) for a in alphas]
     ref_background = next(res.background for a, res in runs if a == reference_alpha)
     rows = []
     for a, res in runs:
@@ -256,7 +248,7 @@ def _cmd_sweep(args) -> int:
     g = _load_graph(args.input, args.simplify)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     strategy = args.seed_strategy.replace("-", "_")
-    rows = sweep_alpha(g, alphas, args.reference_alpha, strategy, args.max_iter)
+    rows = sweep_alpha(g, alphas, args.reference_alpha, strategy)
     report = {
         "command": "sweep-alpha",
         "parameters": {
@@ -264,7 +256,6 @@ def _cmd_sweep(args) -> int:
             "alphas": alphas,
             "reference_alpha": args.reference_alpha,
             "seed_strategy": strategy,
-            "max_iter": args.max_iter,
             "simplify": args.simplify,
         },
         "duration_seconds": time.perf_counter() - started,
@@ -329,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="JSON run report to write")
     p.add_argument("--seed-strategy", default="max-degree",
                    choices=["max-degree", "all-neighborhoods"])
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--simplify", action="store_true",
                    help="collapse multi-edges and drop self-loops first")
     p.set_defaults(func=_cmd_detect)
@@ -394,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-alpha", type=float, default=0.05)
     p.add_argument("--seed-strategy", default="max-degree",
                    choices=["max-degree", "all-neighborhoods"])
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--simplify", action="store_true")
     p.add_argument("--output", help="JSON report to write")
     p.set_defaults(func=_cmd_sweep)

@@ -29,7 +29,7 @@ SEED_MAX_DEGREE = "max_degree"
 SEED_ALL_NEIGHBORHOODS = "all_neighborhoods"
 
 DEFAULT_ALPHA = 0.05
-DEFAULT_MAX_ITER = 100
+MAX_ITER = 100  # updates per search before it ends as iteration_cap
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ def community_search(
     g: MultiGraph,
     seed: Iterable[int],
     alpha: float = DEFAULT_ALPHA,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SearchOutcome:
     """Iterate the selection map from `seed` until it stops moving.
 
@@ -98,20 +97,18 @@ def community_search(
       escapes (reseeding from the cycle's intersection, then union) were
       exhausted; the smallest set of the first cycle (by size, then
       lexicographic members) is returned,
-    - ``iteration_cap``: `max_iter` updates ran without settling; the
+    - ``iteration_cap``: `MAX_ITER` updates ran without settling; the
       last set is returned.
     """
     seed = as_vertex_set(seed, g.n)
     if not seed:
         raise ValueError("seed set must be non-empty")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     visited: dict[VertexSet, int] = {seed: 0}
     history: list[VertexSet] = [seed]
     trace: list[int] = [len(seed)]
     current = seed
     first_cycle: list[VertexSet] | None = None
-    for step in range(1, max_iter + 1):
+    for step in range(1, MAX_ITER + 1):
         new = bh_select(g, current, alpha)
         trace.append(len(new))
         if new == current:
@@ -141,7 +138,7 @@ def community_search(
         visited[new] = len(history)
         history.append(new)
         current = new
-    return SearchOutcome(current, max_iter, TERM_ITERATION_CAP, trace)
+    return SearchOutcome(current, MAX_ITER, TERM_ITERATION_CAP, trace)
 
 
 def _max_degree_anchor(g: MultiGraph, uncovered_mask: np.ndarray) -> int:
@@ -193,7 +190,6 @@ def essc(
     g: MultiGraph,
     alpha: float = DEFAULT_ALPHA,
     seed_strategy: str = SEED_MAX_DEGREE,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DetectionResult:
     """Extract all statistically stable communities of the graph.
 
@@ -226,7 +222,7 @@ def essc(
         while uncovered.any():
             anchor = _max_degree_anchor(g, uncovered)
             seed = _closed_neighborhood(g, anchor)
-            outcome = community_search(g, seed, alpha, max_iter)
+            outcome = community_search(g, seed, alpha)
             accepted = outcome.termination == TERM_FIXED_POINT and bool(outcome.community)
             forced = False
             if accepted:
@@ -257,7 +253,7 @@ def essc(
             # already known would retire just the anchor, and extraction
             # would then run on through every remaining vertex
             retry_seed = select_by_rank(g, seed, len(seed))
-            retry = community_search(g, retry_seed, alpha, max_iter)
+            retry = community_search(g, retry_seed, alpha)
             found = retry.community
             accepted = (
                 retry.termination == TERM_FIXED_POINT
@@ -274,7 +270,7 @@ def essc(
     else:
         for u in range(g.n):
             seed = _closed_neighborhood(g, u)
-            outcome = community_search(g, seed, alpha, max_iter)
+            outcome = community_search(g, seed, alpha)
             accepted = outcome.termination == TERM_FIXED_POINT and bool(outcome.community)
             if accepted and outcome.community not in seen:
                 seen.add(outcome.community)

@@ -1,5 +1,7 @@
 """Benchmark generators: parameters, structure, and reproducibility."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from essc.bench import (
     sample_powerlaw_degrees,
     single_embedded_theta,
 )
+from essc.detect import write_communities
 from essc.errors import ParameterError
 from essc.graph import write_edge_list
 
@@ -36,15 +39,20 @@ def test_spec_validation():
 
 
 def test_pair_unranking_is_a_bijection():
-    from essc.bench import _unrank_pair
+    from essc.bench import _unrank_pairs
 
     for n in (2, 3, 5, 11, 40):
-        seen = set()
-        for t in range(n * (n - 1) // 2):
-            i, j = _unrank_pair(t, n)
-            assert 0 <= i < j < n
-            seen.add((i, j))
-        assert len(seen) == n * (n - 1) // 2
+        i, j = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
+        assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(n), 2))
+    # the first and last index of random rows, where a float root could slip;
+    # at n = 1e9 the float root misses by one row at most last indices
+    rng = np.random.default_rng(3)
+    for n in (10**7, 10**9):
+        rows = rng.integers(0, n - 1, size=2000)
+        first = rows * (2 * n - rows - 1) // 2
+        for t, j_want in ((first, rows + 1), (first + n - rows - 2, np.full_like(rows, n - 1))):
+            i, j = _unrank_pairs(t, n)
+            assert np.array_equal(i, rows) and np.array_equal(j, j_want)
 
 
 def test_erdos_renyi_edges_and_truth():
@@ -299,3 +307,63 @@ def test_generate_dispatch_covers_all_kinds():
         g, truth = generate(spec)
         assert g.n == 50
         assert set().union(truth.background, *([set()] + truth.communities)) == set(range(50))
+
+
+_SMALL = dict(dbar=12, tau1=2.0, tau2=1.0, s1=10, s2=40)
+
+# sha256 of write_edge_list(g) + write_communities(truth) for every kind,
+# two seeds each; any change to a generated graph, to the RNG draws that
+# made it or to its truth shows here
+_GENERATOR_PINS = [
+    (dict(kind="er", n=0, dbar=0.0), 1,
+     "a2149d6c30f3dfe7fa6351e3bae9da315f829d6a55ec3bc151e72d82d3fe3acb"),
+    (dict(kind="er", n=0, dbar=0.0), 2,
+     "a2149d6c30f3dfe7fa6351e3bae9da315f829d6a55ec3bc151e72d82d3fe3acb"),
+    (dict(kind="er", n=1, dbar=0.0), 1,
+     "4b2101d08db8f947fbae07b179efe4ffb73a0a2ae9d758eec6ea88b445d9af39"),
+    (dict(kind="er", n=1, dbar=0.0), 2,
+     "4b2101d08db8f947fbae07b179efe4ffb73a0a2ae9d758eec6ea88b445d9af39"),
+    (dict(kind="er", n=300, dbar=6.0), 1,
+     "883698c8e58be5a747de94ed91a7717b1ca072becd5b4aa7cfed96b197d0d1ce"),
+    (dict(kind="er", n=300, dbar=6.0), 2,
+     "ed2dfbab469a9a04263bc8d389b6d686550bd669992ad48a0c18b1fc7ccc24c6"),
+    (dict(kind="config", n=300, dbar=8.0, tau1=2.0), 1,
+     "7280b81354e43a10a3a4fd2b54f17dbb4782bd9c511388b84270011023eb6d36"),
+    (dict(kind="config", n=300, dbar=8.0, tau1=2.0), 2,
+     "2a56847c13cb6b3c7a21104af6e0c356f2b01dd8716418b9a7fb80fe1b3e5892"),
+    (dict(kind="sbm_single", n=300, pi=0.2, kappa=5.0, theta=0.03), 1,
+     "23aef9594e3903158cc4ed1d740a09b5f7dd82540aca18973323b624f03d9361"),
+    (dict(kind="sbm_single", n=300, pi=0.2, kappa=5.0, theta=0.03), 2,
+     "b0007c5cdf2ffcd486966618b0024a3b18d0a4cb59e62b61df0e5e26e8b59653"),
+    (dict(kind="sbm_single", n=300, pi=0.3, kappa=1.0, theta=0.02), 1,
+     "babc53dcf31d34ca4176c2150dee24c0ad69e0903aea9399ad1dc6136d3b2181"),
+    (dict(kind="sbm_single", n=300, pi=0.3, kappa=1.0, theta=0.02), 2,
+     "e29694407d3111634ffdc918d4645fc7f24e48648be159e278b98bafae273902"),
+    (dict(kind="lfr", n=400, mu=0.2, rho=0.0, **_SMALL), 1,
+     "7828cbcf1ed0dd91b2850bdfe7b8540c26c360224e1db497a27dd8d1d315db22"),
+    (dict(kind="lfr", n=400, mu=0.2, rho=0.0, **_SMALL), 2,
+     "93d8441e8b3b1158e2c13d5ec0d09b03833604a0188db4fb36d2ec92ef842395"),
+    (dict(kind="lfr", n=400, mu=0.2, rho=0.1, **_SMALL), 1,
+     "23dcc300fc6dee9abb59987ff9d39ad6ec59dae96b06091b1fd0af68aac8de2c"),
+    (dict(kind="lfr", n=400, mu=0.2, rho=0.1, **_SMALL), 2,
+     "70db36cd3c9d7fc56179096eb7e0bf4983311120b756fe96923ec2727ca5cf4f"),
+    (dict(kind="lfr", n=0, mu=0.2, rho=0.0, **_SMALL), 1,
+     "a2149d6c30f3dfe7fa6351e3bae9da315f829d6a55ec3bc151e72d82d3fe3acb"),
+    (dict(kind="lfr", n=0, mu=0.2, rho=0.0, **_SMALL), 2,
+     "a2149d6c30f3dfe7fa6351e3bae9da315f829d6a55ec3bc151e72d82d3fe3acb"),
+    (dict(kind="lfr_bg", n=400, mu=0.2, pi=0.5, **_SMALL), 1,
+     "560a84e83e647f4b9db95f8e6fff4b08b75311100978766e67d145902ead4ae7"),
+    (dict(kind="lfr_bg", n=400, mu=0.2, pi=0.5, **_SMALL), 2,
+     "71930e541a7c443ac9e0b1f864b66b54bea009532dd50489707927013cb643e6"),
+    (dict(kind="lfr_bg", n=400, mu=0.2, pi=0.98, **_SMALL), 1,
+     "df8cebf1fbac7859675037e5eb403b7795bec9948f936c7450c90b5e5f98f0be"),
+    (dict(kind="lfr_bg", n=400, mu=0.2, pi=0.98, **_SMALL), 2,
+     "bc881e2e2658ebc25669f9d0e8466dcad00be3725926055e9eff4d0bf71996ba"),
+]
+
+
+@pytest.mark.parametrize("fields, seed, sha", _GENERATOR_PINS)
+def test_generator_output_is_pinned(fields, seed, sha):
+    g, truth = generate(BenchmarkSpec(rng_seed=seed, **fields))
+    text = write_edge_list(g) + write_communities(truth.communities, truth.background)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha

@@ -15,6 +15,7 @@ from essc.bench import (
 from essc.detect import (
     TERM_EMPTY,
     TERM_FIXED_POINT,
+    TERM_ITERATION_CAP,
     DetectionResult,
     background_of,
     community_search,
@@ -54,10 +55,24 @@ def test_community_search_rejects_bad_inputs():
     g = two_cliques(4)
     with pytest.raises(ValueError):
         community_search(g, set(), 0.05)
-    with pytest.raises(ValueError):
-        community_search(g, {0}, 0.05, max_iter=0)
     with pytest.raises(DegenerateGraphError):
         community_search(MultiGraph.from_edges(3, []), {0}, 0.05)
+
+
+def test_iteration_cap_retires_the_anchor(monkeypatch):
+    # two 10-cliques joined by the edge (0, 10): the anchor 0's neighborhood
+    # holds the outsider 10, so the first update moves (it drops 10)
+    edges = [(i, j) for c in (0, 10) for i in range(c, c + 10) for j in range(i + 1, c + 10)]
+    g = MultiGraph.from_edges(20, edges + [(0, 10)])
+    monkeypatch.setattr("essc.detect.MAX_ITER", 1)
+    out = community_search(g, frozenset(range(11)), 0.05)
+    assert out.termination == TERM_ITERATION_CAP
+    assert out.iterations == 1 and out.trace == [11, 10]
+    result = essc(g, 0.05)
+    first = result.seed_log[0]
+    assert first.anchor == 0 and first.termination == TERM_ITERATION_CAP
+    assert first.forced_progress and not first.accepted
+    assert result.communities == [frozenset(range(10)), frozenset(range(10, 20))]
 
 
 def test_community_search_usually_empty_on_noise():
