@@ -361,6 +361,21 @@ _GENERATOR_PINS = [
      "bc881e2e2658ebc25669f9d0e8466dcad00be3725926055e9eff4d0bf71996ba"),
 ]
 
+# one seed each at n=1e4: the perfbench lfr-10k spec, the same with a rho
+# share of doubly-assigned vertices, lfr_bg and sbm_single at scale
+_10K = dict(n=10_000, dbar=40.0, tau1=2.0, tau2=1.0, mu=0.3, s1=20, s2=100)
+_GENERATOR_PINS += [
+    (dict(kind="lfr", rho=0.0, **_10K), 1,
+     "da653ba289460a1aa1f5f32eaa832bb2481dccd0173deb89ccafb681e274937a"),
+    (dict(kind="lfr", rho=0.1, **_10K), 1,
+     "f57c76dbec8fc20d777bc7a78823dbd01da52d334f548ac30b39eb9960975e51"),
+    (dict(kind="lfr_bg", pi=0.5, **_10K), 1,
+     "d60f3513413754eaa2a57db3dfeaea498c7aaefa350566a2b95c7abff227e98a"),
+    (dict(kind="sbm_single", n=10_000, pi=0.1, kappa=10.0,
+          theta=single_embedded_theta(10_000, 0.1, 10.0, 40.0)), 1,
+     "8d1dd58e9fa5c49b2fb459ef4fea6d24ee2b3fa8062ce63b9b3590f981218336"),
+]
+
 
 @pytest.mark.parametrize("fields, seed, sha", _GENERATOR_PINS)
 def test_generator_output_is_pinned(fields, seed, sha):
