@@ -33,6 +33,7 @@ KINDS = ("er", "config", "sbm_single", "lfr", "lfr_bg")
 _REWIRE_PASSES = 100
 _SELF_PAIR_PASSES = 20
 _ASSIGN_ATTEMPTS = 100
+_SKIP_BLOCK = 1 << 16  # most skips drawn at once, to bound the block's memory
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ class BenchmarkSpec:
                 raise ParameterError(f"{self.kind} spec requires {name}")
             if name not in required and name not in optional and value is not None:
                 raise ParameterError(f"{name} is not a parameter of kind {self.kind}")
+            if value is not None:
+                _require_finite(**{name: value})
         if self.pi is not None and not 0.0 < self.pi < 1.0:
             raise ParameterError("pi must lie in (0, 1)")
         if self.mu is not None and not 0.0 < self.mu < 1.0:
@@ -92,6 +95,12 @@ class GroundTruth:
 
     communities: list[VertexSet]
     background: VertexSet
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -112,19 +121,40 @@ def _unrank_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bernoulli_indices(space: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of successes among `space` independent Bernoulli(p) slots."""
+    """Indices of successes among `space` independent Bernoulli(p) slots.
+
+    One ``rng.random()`` draw per success plus one that overshoots, each
+    turned into a geometric skip. The draws come in blocks; the generator
+    is then reset and advanced by exactly the draws used, so the indices
+    and the stream match drawing them one at a time.
+    """
     if space <= 0 or p <= 0.0:
         return np.zeros(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(space, dtype=np.int64)
-    out: list[int] = []
     logq = math.log1p(-p)
+    found = []
     t = -1
     while True:
-        t += 1 + int(math.log1p(-rng.random()) / logq)
-        if t >= space:
-            return np.array(out, dtype=np.int64)
-        out.append(t)
+        expect = (space - 1 - t) * p
+        k = min(int(expect + 4.0 * math.sqrt(expect)) + 16, _SKIP_BLOCK)
+        state = rng.bit_generator.state
+        u = rng.random(k)
+        # math.log1p per draw: numpy's vectorised log1p may differ in the last bit
+        skip = np.fromiter(map(math.log1p, (-u).tolist()), np.float64, k) / logq
+        # a skip that reaches `space` ends the loop wherever it lands, so
+        # clamping it at 2 * space (past `space` even after float rounding)
+        # keeps the int64 cast and the sum up to the first overshoot in range
+        pos = t + np.cumsum(1 + np.minimum(skip, 2.0 * space).astype(np.int64))
+        past = pos >= space
+        if past.any():
+            j = int(past.argmax())
+            found.append(pos[:j])
+            rng.bit_generator.state = state
+            rng.random(j + 1)
+            return np.concatenate(found)
+        found.append(pos)
+        t = int(pos[-1])
 
 
 def _bernoulli_pairs(
@@ -152,6 +182,7 @@ def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, Gro
 
     Ground truth: no communities, every vertex background.
     """
+    _require_finite(dbar=dbar)
     if n < 0:
         raise ParameterError("n must be >= 0")
     if dbar < 0:
@@ -211,6 +242,7 @@ def sample_powerlaw_degrees(
     distribution mean is as close as possible to dbar. An odd total is
     fixed by incrementing the smallest-degree vertex.
     """
+    _require_finite(tau=tau, dbar=dbar)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     if tau <= 1.0:
@@ -255,6 +287,7 @@ def gen_single_embedded(
     pair with probability theta. Ground truth: the community block,
     background the rest.
     """
+    _require_finite(pi=pi, kappa=kappa, theta=theta)
     if not 0.0 < pi < 1.0:
         raise ParameterError("pi must lie in (0, 1)")
     if kappa < 1.0:
@@ -278,11 +311,17 @@ def _sample_community_sizes(slots: int, tau2: float, s1: int, s2: int, rng) -> l
     """Power-law community sizes covering exactly `slots` membership seats."""
     support = np.arange(s1, s2 + 1, dtype=np.int64)
     w = support.astype(np.float64) ** (-float(tau2))
-    w /= w.sum()
+    total_w = w.sum()
+    if not 0.0 < total_w < math.inf:
+        raise ParameterError(f"tau2={tau2} leaves no usable size weights on [{s1}, {s2}]")
+    w /= total_w
+    # the cdf and the one uniform draw of Generator.choice(support, p=w)
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
     sizes: list[int] = []
     total = 0
     while total < slots:
-        s = int(rng.choice(support, p=w))
+        s = int(support[cdf.searchsorted(rng.random(), side="right")])
         if total + s <= slots:
             sizes.append(s)
             total += s
@@ -324,41 +363,47 @@ def _assign_memberships(
     -1 for absent second memberships, or None if the pass wedged.
     """
     n = len(internal)
-    capacity = np.array(sizes, dtype=np.int64)
     size_arr = np.array(sizes, dtype=np.int64)
-    m1 = np.full(n, -1, dtype=np.int64)
-    m2 = np.full(n, -1, dtype=np.int64)
+    capacity = list(sizes)
+    open_c = np.flatnonzero(size_arr > 0)
+    # need -> the communities a single member draws from; stale once one fills
+    pools: dict[int, np.ndarray] = {}
+    need = internal.tolist()
+    m1 = [-1] * n
+    m2 = [-1] * n
 
     is_double = np.zeros(n, dtype=bool)
     is_double[doubles] = True
-    order = np.concatenate([
-        rng.permutation(doubles),
-        rng.permutation(np.nonzero(~is_double)[0]),
-    ]).astype(np.int64)
+    first = rng.permutation(doubles).tolist()
+    rest = rng.permutation(np.nonzero(~is_double)[0]).tolist()
 
-    for v in order:
-        need = int(internal[v])
-        if is_double[v]:
-            open_c = np.nonzero(capacity > 0)[0]
-            if len(open_c) < 2:
-                return None
-            half = need - need // 2
-            fit = open_c[size_arr[open_c] > half]
-            pool = fit if len(fit) >= 2 else open_c
-            pick = rng.choice(pool, size=2, replace=False)
-            m1[v], m2[v] = int(pick[0]), int(pick[1])
-            capacity[pick[0]] -= 1
-            capacity[pick[1]] -= 1
-        else:
-            open_c = np.nonzero(capacity > 0)[0]
-            if len(open_c) < 1:
-                return None
-            fit = open_c[size_arr[open_c] > need]
-            pool = fit if len(fit) >= 1 else open_c
-            c = int(rng.choice(pool))
-            m1[v] = c
-            capacity[c] -= 1
-    return m1, m2
+    def seat(c: int) -> None:
+        nonlocal open_c
+        capacity[c] -= 1
+        if capacity[c] == 0:
+            open_c = open_c[open_c != c]
+            pools.clear()
+
+    for v in first:
+        if len(open_c) < 2:
+            return None
+        half = need[v] - need[v] // 2
+        fit = open_c[size_arr[open_c] > half]
+        pick = rng.choice(fit if len(fit) >= 2 else open_c, size=2, replace=False)
+        m1[v], m2[v] = int(pick[0]), int(pick[1])
+        seat(m1[v])
+        seat(m2[v])
+    for v in rest:
+        if len(open_c) < 1:
+            return None
+        pool = pools.get(need[v])
+        if pool is None:
+            fit = open_c[size_arr[open_c] > need[v]]
+            pool = pools[need[v]] = fit if len(fit) >= 1 else open_c
+        # the one draw Generator.choice(pool) makes
+        m1[v] = int(pool[rng.integers(0, len(pool))])
+        seat(m1[v])
+    return np.array(m1, dtype=np.int64), np.array(m2, dtype=np.int64)
 
 
 def _rewire(a: np.ndarray, b: np.ndarray, collides, passes: int, rng) -> int:

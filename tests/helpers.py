@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import decimal
+import math
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
+from essc.errors import GenerationError
 from essc.graph import MultiGraph
 
 
@@ -151,3 +153,111 @@ def flatten_to_partition(communities, background, n: int) -> list[set[int]]:
     if rest:
         blocks.append(rest)
     return blocks
+
+
+# The draw-by-draw loops that essc.bench replaced with block and cached
+# draws, kept as the oracles that must make the same draws in the same
+# order and return the same values.
+
+
+def bernoulli_indices_loop(space: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Indices of successes among `space` independent Bernoulli(p) slots."""
+    if space <= 0 or p <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(space, dtype=np.int64)
+    out: list[int] = []
+    logq = math.log1p(-p)
+    t = -1
+    while True:
+        t += 1 + int(math.log1p(-rng.random()) / logq)
+        if t >= space:
+            return np.array(out, dtype=np.int64)
+        out.append(t)
+
+
+def sample_community_sizes_loop(slots: int, tau2: float, s1: int, s2: int, rng) -> list[int]:
+    """Power-law community sizes covering exactly `slots` membership seats."""
+    support = np.arange(s1, s2 + 1, dtype=np.int64)
+    w = support.astype(np.float64) ** (-float(tau2))
+    w /= w.sum()
+    sizes: list[int] = []
+    total = 0
+    while total < slots:
+        s = int(rng.choice(support, p=w))
+        if total + s <= slots:
+            sizes.append(s)
+            total += s
+            continue
+        deficit = slots - total
+        if deficit >= s1:
+            sizes.append(deficit)
+        else:
+            # spread the leftover seats over communities with room
+            while deficit > 0:
+                progressed = False
+                for i in range(len(sizes)):
+                    if deficit == 0:
+                        break
+                    if sizes[i] < s2:
+                        sizes[i] += 1
+                        deficit -= 1
+                        progressed = True
+                if not progressed:
+                    raise GenerationError(
+                        f"cannot cover {slots} membership seats with sizes in [{s1}, {s2}]"
+                    )
+        total = slots
+    return sizes
+
+
+def assign_memberships_loop(
+    sizes: list[int],
+    internal: np.ndarray,
+    doubles: np.ndarray,
+    rng,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Random community assignment honoring capacities.
+
+    Prefers communities large enough to host a member's internal degree;
+    falls back to any community with free seats (the wiring step then
+    uses multi-edges). Doubly-assigned vertices go first so two distinct
+    communities with capacity are still available. Returns (m1, m2) with
+    -1 for absent second memberships, or None if the pass wedged.
+    """
+    n = len(internal)
+    capacity = np.array(sizes, dtype=np.int64)
+    size_arr = np.array(sizes, dtype=np.int64)
+    m1 = np.full(n, -1, dtype=np.int64)
+    m2 = np.full(n, -1, dtype=np.int64)
+
+    is_double = np.zeros(n, dtype=bool)
+    is_double[doubles] = True
+    order = np.concatenate([
+        rng.permutation(doubles),
+        rng.permutation(np.nonzero(~is_double)[0]),
+    ]).astype(np.int64)
+
+    for v in order:
+        need = int(internal[v])
+        if is_double[v]:
+            open_c = np.nonzero(capacity > 0)[0]
+            if len(open_c) < 2:
+                return None
+            half = need - need // 2
+            fit = open_c[size_arr[open_c] > half]
+            pool = fit if len(fit) >= 2 else open_c
+            pick = rng.choice(pool, size=2, replace=False)
+            m1[v], m2[v] = int(pick[0]), int(pick[1])
+            capacity[pick[0]] -= 1
+            capacity[pick[1]] -= 1
+        else:
+            open_c = np.nonzero(capacity > 0)[0]
+            if len(open_c) < 1:
+                return None
+            fit = open_c[size_arr[open_c] > need]
+            pool = fit if len(fit) >= 1 else open_c
+            c = int(rng.choice(pool))
+            m1[v] = c
+            capacity[c] -= 1
+    return m1, m2

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from essc import bench
 from essc.bench import (
     BenchmarkSpec,
     gen_configuration,
@@ -20,8 +21,10 @@ from essc.bench import (
     single_embedded_theta,
 )
 from essc.detect import write_communities
-from essc.errors import ParameterError
+from essc.errors import GenerationError, ParameterError
 from essc.graph import write_edge_list
+
+from helpers import assign_memberships_loop, bernoulli_indices_loop, sample_community_sizes_loop
 
 
 def test_spec_validation():
@@ -36,6 +39,46 @@ def test_spec_validation():
         BenchmarkSpec(
             kind="lfr", n=10, dbar=3.0, tau1=2, tau2=1, mu=1.5, s1=2, s2=5, rho=0.0
         ).validate()
+
+
+def test_non_finite_parameters_are_rejected_before_any_draw():
+    nan, inf = float("nan"), float("inf")
+    lfr = dict(n=400, dbar=12.0, tau1=2.0, tau2=1.0, mu=0.2, s1=10, s2=40)
+    specs = [
+        dict(kind="er", n=50, dbar=nan),
+        dict(kind="config", n=50, dbar=nan, tau1=2.0),
+        dict(kind="config", n=50, dbar=5.0, tau1=nan),
+        dict(kind="sbm_single", n=50, pi=0.2, kappa=nan, theta=0.05),
+        dict(kind="sbm_single", n=50, pi=0.2, kappa=4.0, theta=inf),
+        dict(kind="lfr", rho=0.0, **dict(lfr, dbar=nan)),
+        dict(kind="lfr", rho=0.0, **dict(lfr, tau2=-inf)),
+        dict(kind="lfr_bg", pi=0.5, **dict(lfr, dbar=nan)),
+    ]
+    for fields in specs:
+        with pytest.raises(ParameterError, match="finite"):
+            generate(BenchmarkSpec(rng_seed=1, **fields))
+    calls = [
+        lambda rng: gen_erdos_renyi(50, nan, rng),
+        lambda rng: gen_erdos_renyi(1, inf, rng),
+        lambda rng: gen_single_embedded(50, 0.2, 4.0, nan, rng),
+        lambda rng: gen_single_embedded(50, 0.2, nan, 0.05, rng),
+        lambda rng: gen_single_embedded(50, nan, 4.0, 0.05, rng),
+        lambda rng: sample_powerlaw_degrees(50, 2.0, nan, rng),
+        lambda rng: sample_powerlaw_degrees(0, 2.0, nan, rng),
+        lambda rng: sample_powerlaw_degrees(50, inf, 5.0, rng),
+    ]
+    for call in calls:
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="finite"):
+            call(rng)
+        assert rng.bit_generator.state == before
+
+
+def test_community_size_weights_must_not_vanish():
+    # 20 ** -1e4 underflows every weight to 0
+    with pytest.raises(ParameterError, match="tau2"):
+        bench._sample_community_sizes(100, 1e4, 20, 40, np.random.default_rng(1))
 
 
 def test_pair_unranking_is_a_bijection():
@@ -382,3 +425,121 @@ def test_generator_output_is_pinned(fields, seed, sha):
     g, truth = generate(BenchmarkSpec(rng_seed=seed, **fields))
     text = write_edge_list(g) + write_communities(truth.communities, truth.background)
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# The three draw-ordered loops of the generators against their draw-by-draw
+# versions in helpers.py: same values, and the generator left in the same
+# state, on random inputs and on the edge cases of each fast path.
+
+def _rngs(seed, mt=False):
+    make = (lambda: np.random.Generator(np.random.MT19937(seed))) if mt else \
+        (lambda: np.random.default_rng(seed))
+    return make(), make()
+
+
+def _state(x):
+    """A bit generator's state with its arrays (MT19937's key) as lists."""
+    if isinstance(x, dict):
+        return {k: _state(v) for k, v in x.items()}
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _assert_same_draws(fast, loop, args, seed, mt=False):
+    r1, r2 = _rngs(seed, mt)
+    got, want = fast(*args, r1), loop(*args, r2)
+    assert _state(r1.bit_generator.state) == _state(r2.bit_generator.state)
+    return got, want
+
+
+def _bernoulli_cases():
+    rng = np.random.default_rng(2024)
+    cases = [
+        (10, 1e-300), (10**12, 1e-300), (1, 0.5), (1, 1e-9), (1, 1 - 1e-12),
+        (50, 1 - 1e-12), (200, 0.999), (200, 0.5), (10**12, 2e-11),
+        (499_500, 0.3),  # about 150k successes: three capped blocks
+    ]
+    for _ in range(40):
+        cases.append((int(rng.integers(1, 20_000)), float(10 ** rng.uniform(-5, -0.01))))
+    return cases
+
+
+@pytest.mark.parametrize("mt", [False, True])
+def test_bernoulli_indices_match_the_draw_by_draw_loop(mt):
+    for i, (space, p) in enumerate(_bernoulli_cases()):
+        got, want = _assert_same_draws(
+            bench._bernoulli_indices, bernoulli_indices_loop, (space, p), i, mt
+        )
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (space, p)
+
+
+def test_bernoulli_indices_short_blocks_continue(monkeypatch):
+    # blocks far shorter than the successes force every block boundary case
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(bench, "_SKIP_BLOCK", block)
+        for i, (space, p) in enumerate([(1, 0.5), (30, 0.9), (500, 0.2), (2000, 0.01)]):
+            got, want = _assert_same_draws(
+                bench._bernoulli_indices, bernoulli_indices_loop, (space, p), 100 + i
+            )
+            assert np.array_equal(got, want), (block, space, p)
+
+
+def test_community_sizes_match_the_draw_by_draw_loop():
+    rng = np.random.default_rng(99)
+    cases = [(0, 1.0, 5, 9), (1, 1.0, 1, 1), (7, 2.0, 3, 5), (1000, 1.0, 20, 100)]
+    for _ in range(60):
+        s1 = int(rng.integers(1, 30))
+        cases.append((int(rng.integers(1, 3000)), float(rng.choice([-1.0, 0.0, 1.0, 2.0, 3.5])),
+                      s1, s1 + int(rng.integers(0, 80))))
+    for i, args in enumerate(cases):
+        got, want = _assert_same_draws(
+            bench._sample_community_sizes, sample_community_sizes_loop, args, i, mt=i % 2 == 1
+        )
+        assert got == want, args
+    # seats that no size mix can cover
+    for sample in (bench._sample_community_sizes, sample_community_sizes_loop):
+        with pytest.raises(GenerationError):
+            sample(15, 1.0, 10, 10, np.random.default_rng(0))
+
+
+def _membership_cases():
+    rng = np.random.default_rng(5)
+    cases = [
+        # wedged: one community cannot host a double member
+        ([3], np.array([2, 2]), np.array([0])),
+        # wedged later: the second double finds every community full
+        ([1, 1, 1], np.array([1, 1, 1]), np.array([0, 1])),
+        # need above every size: single members fall back to any open community
+        ([4, 3, 5], np.full(12, 50), np.zeros(0, dtype=np.int64)),
+        # doubles with fewer than two fitting communities use every open one
+        ([30, 3, 3, 4], np.r_[np.full(5, 20), np.full(30, 1)], np.arange(5)),
+        # small communities fill mid-run, so cached pools go stale
+        ([1, 2, 1, 3, 2, 5, 1, 4], np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2]),
+         np.array([3, 9])),
+    ]
+    for _ in range(60):
+        n = int(rng.integers(1, 300))
+        doubles = np.sort(rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False))
+        seats = n + len(doubles)
+        cuts = np.sort(rng.choice(np.arange(1, seats), size=min(seats - 1, int(rng.integers(0, 40))),
+                                  replace=False)) if seats > 1 else np.zeros(0, dtype=np.int64)
+        sizes = np.diff(np.r_[0, cuts, seats]).tolist()
+        internal = rng.integers(0, max(sizes) + 3, size=n)
+        cases.append((sizes, internal, doubles.astype(np.int64)))
+    return cases
+
+
+@pytest.mark.parametrize("mt", [False, True])
+def test_memberships_match_the_draw_by_draw_loop(mt):
+    wedged = 0
+    for i, (sizes, internal, doubles) in enumerate(_membership_cases()):
+        args = (sizes, internal, doubles)
+        got, want = _assert_same_draws(
+            bench._assign_memberships, assign_memberships_loop, args, i, mt
+        )
+        if want is None:
+            wedged += 1
+            assert got is None
+            continue
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), i
+    assert wedged >= 2

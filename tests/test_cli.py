@@ -210,6 +210,18 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_generate_rejects_non_finite_parameters(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    code = main([
+        "generate", "lfr", "--n", "400", "--dbar", "nan", "--tau1", "2", "--tau2", "1",
+        "--mu", "0.2", "--smin", "10", "--smax", "40", "--rng-seed", "1",
+        "--out", str(out), "--truth", str(tmp_path / "t.txt"),
+    ])
+    assert code == 1
+    assert "error: dbar must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_rejects_mismatched_vertex_sets(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
