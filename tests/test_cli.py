@@ -229,3 +229,330 @@ def test_eval_rejects_mismatched_vertex_sets(tmp_path, capsys):
     b.write_text("0 1\nbackground: 2 3\n")
     assert main(["eval", "--pred", str(a), "--truth", str(b), "--metric", "gnmi"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# The command-line contract, one row per run: the exit code, the exact
+# stdout, and the report (its top-level key order and every value but the
+# timing). "{tmp}" stands for the test's temporary directory.
+
+CONTRACT_EDGES = write_edge_list(two_cliques(10)) + "0 10 1\n0 1 2\n3 3 1\n"
+CONTRACT_PRED = "0 1 2\n3 4 5 6 7\nbackground: 8 9\n"
+CONTRACT_TRUTH = "0 1 2 3\n4 5 6 7\nbackground: 8 9\n"
+SEED_FIELDS = ("anchor", "seed_size", "termination", "iterations",
+               "community_size", "accepted", "forced_progress", "fallback")
+
+
+def _seed_log(*rows):
+    return [dict(zip(SEED_FIELDS, row)) for row in rows]
+
+
+CONTRACT = {
+    "detect-max-degree": (
+        ["detect", "--input", "{tmp}/g.txt", "--output", "{tmp}/c.txt", "--summary",
+         "{tmp}/r.json"],
+        0, "communities: 2  background: 0/20\n",
+        {
+            "command": "detect",
+            "parameters": {
+                "input": "{tmp}/g.txt",
+                "alpha": 0.05,
+                "seed_strategy": "max_degree",
+                "simplify": False,
+                "output": "{tmp}/c.txt",
+            },
+            "n": 20,
+            "edge_count": 94,
+            "alpha": 0.05,
+            "summary": {
+                "community_count": 2,
+                "mean_size": 10.0,
+                "size_stddev": 0.0,
+                "mean_membership": 1.0,
+                "mean_degree_community": 9.4,
+                "mean_degree_background": None,
+                "background_proportion": 0.0,
+            },
+            "community_sizes": [10, 10],
+            "seed_log": _seed_log(
+                (0, 11, "fixed_point", 2, 10, True, False, False),
+                (10, 11, "fixed_point", 2, 10, True, False, False),
+            ),
+        },
+    ),
+    "detect-all-neighborhoods": (
+        ["detect", "--input", "{tmp}/g.txt", "--output", "{tmp}/c.txt", "--alpha",
+         "0.05", "--seed-strategy", "all-neighborhoods", "--simplify", "--summary",
+         "{tmp}/r.json"],
+        0, "communities: 2  background: 0/20\n",
+        {
+            "command": "detect",
+            "parameters": {
+                "input": "{tmp}/g.txt",
+                "alpha": 0.05,
+                "seed_strategy": "all_neighborhoods",
+                "simplify": True,
+                "output": "{tmp}/c.txt",
+            },
+            "n": 20,
+            "edge_count": 91,
+            "alpha": 0.05,
+            "summary": {
+                "community_count": 2,
+                "mean_size": 10.0,
+                "size_stddev": 0.0,
+                "mean_membership": 1.0,
+                "mean_degree_community": 9.1,
+                "mean_degree_background": None,
+                "background_proportion": 0.0,
+            },
+            "community_sizes": [10, 10],
+            "seed_log": _seed_log(
+                (0, 11, "fixed_point", 2, 10, True, False, False),
+                (1, 10, "fixed_point", 1, 10, True, False, False),
+                (2, 10, "fixed_point", 1, 10, True, False, False),
+                (3, 10, "fixed_point", 1, 10, True, False, False),
+                (4, 10, "fixed_point", 1, 10, True, False, False),
+                (5, 10, "fixed_point", 1, 10, True, False, False),
+                (6, 10, "fixed_point", 1, 10, True, False, False),
+                (7, 10, "fixed_point", 1, 10, True, False, False),
+                (8, 10, "fixed_point", 1, 10, True, False, False),
+                (9, 10, "fixed_point", 1, 10, True, False, False),
+                (10, 11, "fixed_point", 2, 10, True, False, False),
+                (11, 10, "fixed_point", 1, 10, True, False, False),
+                (12, 10, "fixed_point", 1, 10, True, False, False),
+                (13, 10, "fixed_point", 1, 10, True, False, False),
+                (14, 10, "fixed_point", 1, 10, True, False, False),
+                (15, 10, "fixed_point", 1, 10, True, False, False),
+                (16, 10, "fixed_point", 1, 10, True, False, False),
+                (17, 10, "fixed_point", 1, 10, True, False, False),
+                (18, 10, "fixed_point", 1, 10, True, False, False),
+                (19, 10, "fixed_point", 1, 10, True, False, False),
+            ),
+        },
+    ),
+    "generate-er": (
+        ["generate", "er", "--n", "30", "--dbar", "4", "--rng-seed", "1", "--out",
+         "{tmp}/e.txt", "--report", "{tmp}/r.json"],
+        0, "wrote {tmp}/e.txt: n=30 edges=57 communities=0\n",
+        {
+            "command": "generate er",
+            "parameters": {
+                "command": "generate",
+                "dbar": 4.0,
+                "n": 30,
+                "rng_seed": 1,
+                "out": "{tmp}/e.txt",
+                "truth": None,
+                "report": "{tmp}/r.json",
+            },
+            "n": 30,
+            "edge_count": 57,
+            "mean_degree": 3.8,
+            "planted_communities": 0,
+        },
+    ),
+    "generate-lfr": (
+        ["generate", "lfr", "--n", "100", "--dbar", "8", "--tau1", "2", "--tau2", "1",
+         "--mu", "0.2", "--smin", "10", "--smax", "30", "--rho", "0.1", "--rng-seed",
+         "2", "--out", "{tmp}/l.txt", "--truth", "{tmp}/t.txt", "--report",
+         "{tmp}/r.json"],
+        0, "wrote {tmp}/l.txt: n=100 edges=336 communities=6\n",
+        {
+            "command": "generate lfr",
+            "parameters": {
+                "command": "generate",
+                "dbar": 8.0,
+                "tau1": 2.0,
+                "tau2": 1.0,
+                "mu": 0.2,
+                "smin": 10,
+                "smax": 30,
+                "rho": 0.1,
+                "n": 100,
+                "rng_seed": 2,
+                "out": "{tmp}/l.txt",
+                "truth": "{tmp}/t.txt",
+                "report": "{tmp}/r.json",
+            },
+            "n": 100,
+            "edge_count": 336,
+            "mean_degree": 6.72,
+            "planted_communities": 6,
+        },
+    ),
+    "eval-gnmi": (
+        ["eval", "--pred", "{tmp}/pred.txt", "--truth", "{tmp}/truth.txt", "--metric",
+         "gnmi", "--report", "{tmp}/r.json"],
+        0, "0.7405730059156649\n",
+        {
+            "command": "eval",
+            "parameters": {
+                "pred": "{tmp}/pred.txt",
+                "truth": "{tmp}/truth.txt",
+                "metric": "gnmi",
+            },
+            "score": 0.7405730059156649,
+        },
+    ),
+    "eval-nmi": (
+        ["eval", "--pred", "{tmp}/pred.txt", "--truth", "{tmp}/truth.txt", "--metric",
+         "nmi", "--report", "{tmp}/r.json"],
+        0, "0.7721274397725246\n",
+        {
+            "command": "eval",
+            "parameters": {
+                "pred": "{tmp}/pred.txt",
+                "truth": "{tmp}/truth.txt",
+                "metric": "nmi",
+            },
+            "score": 0.7721274397725246,
+        },
+    ),
+    "eval-bg-jaccard": (
+        ["eval", "--pred", "{tmp}/pred.txt", "--truth", "{tmp}/truth.txt", "--metric",
+         "bg-jaccard", "--report", "{tmp}/r.json"],
+        0, "1.0\n",
+        {
+            "command": "eval",
+            "parameters": {
+                "pred": "{tmp}/pred.txt",
+                "truth": "{tmp}/truth.txt",
+                "metric": "bg-jaccard",
+            },
+            "score": 1.0,
+        },
+    ),
+    "eval-mean-best-match": (
+        ["eval", "--pred", "{tmp}/pred.txt", "--truth", "{tmp}/truth.txt", "--metric",
+         "mean-best-match", "--report", "{tmp}/r.json"],
+        0, "0.775\n",
+        {
+            "command": "eval",
+            "parameters": {
+                "pred": "{tmp}/pred.txt",
+                "truth": "{tmp}/truth.txt",
+                "metric": "mean-best-match",
+            },
+            "score": 0.775,
+        },
+    ),
+    "sweep-alpha": (
+        ["sweep-alpha", "--input", "{tmp}/g.txt", "--alphas", "0.01,0.05",
+         "--reference-alpha", "0.05", "--output", "{tmp}/r.json"],
+        0,
+        "alpha=0.01 communities=0 background=1.0000 background_jaccard=0.0000\n"
+        "alpha=0.05 communities=2 background=0.0000 background_jaccard=1.0000\n",
+        {
+            "command": "sweep-alpha",
+            "parameters": {
+                "input": "{tmp}/g.txt",
+                "alphas": [0.01, 0.05],
+                "reference_alpha": 0.05,
+                "seed_strategy": "max_degree",
+                "simplify": False,
+            },
+            "rows": [
+                {
+                    "alpha": 0.01,
+                    "community_count": 0,
+                    "mean_size": None,
+                    "size_stddev": None,
+                    "mean_membership": None,
+                    "mean_degree_community": None,
+                    "mean_degree_background": 9.4,
+                    "background_proportion": 1.0,
+                    "background_jaccard": 0.0,
+                },
+                {
+                    "alpha": 0.05,
+                    "community_count": 2,
+                    "mean_size": 10.0,
+                    "size_stddev": 0.0,
+                    "mean_membership": 1.0,
+                    "mean_degree_community": 9.4,
+                    "mean_degree_background": None,
+                    "background_proportion": 0.0,
+                    "background_jaccard": 1.0,
+                },
+            ],
+        },
+    ),
+    "oracle": (
+        ["oracle", "--n", "100", "--tau1", "2", "--dbar", "10", "--set-fraction",
+         "0.1", "--samples", "500", "--target-degree", "12", "--rng-seed", "7",
+         "--report", "{tmp}/r.json"],
+        0, "0.030572390666624205\n",
+        {
+            "command": "oracle",
+            "parameters": {
+                "command": "oracle",
+                "n": 100,
+                "tau1": 2.0,
+                "dbar": 10.0,
+                "set_fraction": 0.1,
+                "samples": 500,
+                "rng_seed": 7,
+                "target_degree": 12.0,
+                "report": "{tmp}/r.json",
+            },
+            "vertex_degree": 12,
+            "set_size": 10,
+            "block_probability": 0.05422993492407809,
+            "tv_distance": 0.030572390666624205,
+        },
+    ),
+    "detect-report-dir-missing": (
+        ["detect", "--input", "{tmp}/g.txt", "--output", "{tmp}/c.txt", "--summary",
+         "{tmp}/missing/r.json"],
+        1, "",
+        None,
+    ),
+    "sweep-alpha-report-dir-missing": (
+        ["sweep-alpha", "--input", "{tmp}/g.txt", "--alphas", "0.05", "--output",
+         "{tmp}/missing/r.json"],
+        1, "",
+        None,
+    ),
+    "generate-report-dir-missing": (
+        ["generate", "er", "--n", "30", "--dbar", "4", "--rng-seed", "1", "--out",
+         "{tmp}/e.txt", "--report", "{tmp}/missing/r.json"],
+        1, "",
+        None,
+    ),
+    "eval-report-dir-missing": (
+        ["eval", "--pred", "{tmp}/pred.txt", "--truth", "{tmp}/truth.txt", "--metric",
+         "nmi", "--report", "{tmp}/missing/r.json"],
+        1, "",
+        None,
+    ),
+    "oracle-report-dir-missing": (
+        ["oracle", "--n", "100", "--tau1", "2", "--dbar", "10", "--set-fraction",
+         "0.1", "--samples", "500", "--rng-seed", "7", "--report",
+         "{tmp}/missing/r.json"],
+        1, "",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT))
+def test_cli_contract(name, tmp_path, capsys):
+    argv, code, stdout, report = CONTRACT[name]
+    (tmp_path / "g.txt").write_text(CONTRACT_EDGES)
+    (tmp_path / "pred.txt").write_text(CONTRACT_PRED)
+    (tmp_path / "truth.txt").write_text(CONTRACT_TRUTH)
+    tmp = str(tmp_path)
+    assert main([a.replace("{tmp}", tmp) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out.replace(tmp, "{tmp}") == stdout
+    if code:
+        assert err.startswith("error:")
+    written = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert written == (["r.json"] if report else [])
+    if report:
+        got = json.loads((tmp_path / "r.json").read_text().replace(tmp, "{tmp}"))
+        keys = list(report)
+        keys.insert(2, "duration_seconds")
+        assert list(got) == keys
+        assert got.pop("duration_seconds") >= 0.0
+        assert got == report
