@@ -28,7 +28,6 @@ from .detect import (
     background_of,
     community_search,
     essc,
-    next_seed,
     read_communities,
     summarize,
     write_communities,
@@ -98,7 +97,6 @@ __all__ = [
     "generate",
     "gnmi_cover",
     "jaccard",
-    "next_seed",
     "nmi_partition",
     "parse_edge_list",
     "pvalue_table",

@@ -224,12 +224,15 @@ def gen_configuration(degrees: Sequence[int] | np.ndarray, rng_seed=None) -> Mul
 
 
 def _powerlaw_mean_table(tau: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # suffix sums give the truncated-distribution mean for every d_min at once
+    # suffix sums give the truncated-distribution mean for every d_min at once;
+    # a weight that underflows to 0 leaves 0 / 0, a NaN mean, for the d_min
+    # above it
     support = np.arange(1, d_max + 1, dtype=np.float64)
     w = support ** (-float(tau))
     sw = np.cumsum(w[::-1])[::-1]
     sdw = np.cumsum((support * w)[::-1])[::-1]
-    return support, sdw / sw
+    with np.errstate(invalid="ignore"):
+        return support, sdw / sw
 
 
 def sample_powerlaw_degrees(
@@ -256,6 +259,8 @@ def sample_powerlaw_degrees(
     if d_max < 1:
         raise ParameterError(f"no feasible degree support for n={n}, dbar={dbar}")
     support, means = _powerlaw_mean_table(tau, d_max)
+    if not np.isfinite(means).all():
+        raise ParameterError(f"tau={tau} underflows the degree weights on [1, {d_max}]")
     if dbar > d_max or dbar < means[0] - 0.5:
         raise ParameterError(
             f"mean degree {dbar} unreachable on support [1, {d_max}] with tau={tau}"

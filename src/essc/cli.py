@@ -6,6 +6,11 @@ prediction against a truth file), ``sweep-alpha`` (stability of the
 detection across significance levels), and ``oracle`` (Monte-Carlo check
 of the binomial boundary-count approximation).
 
+Each subcommand computes its fields and one stdout line; `main` times
+the call, writes the report to the file named by the command's report
+flag (``command``, ``parameters``, ``duration_seconds``, then the fields)
+and prints the line.
+
 Exit codes: 0 on success, 1 on domain or I/O errors, 2 on usage errors.
 """
 
@@ -13,26 +18,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bench, metrics
 from .detect import (
     DEFAULT_ALPHA,
+    SEED_ALL_NEIGHBORHOODS,
     SEED_MAX_DEGREE,
-    DetectionResult,
     essc,
     read_communities,
     summarize,
     write_communities,
 )
-from .errors import EsscError
+from .errors import EsscError, ParameterError
 from .graph import MultiGraph, parse_edge_list, write_edge_list
 
 
@@ -43,68 +49,34 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _write_report(path: str | None, report: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(report, indent=2) + "\n")
-
-
 def _load_graph(path: str, simplify: bool) -> MultiGraph:
     g = parse_edge_list(Path(path).read_text())
     return g.simplified() if simplify else g
 
 
-def _result_report(g: MultiGraph, result: DetectionResult) -> dict:
-    stats = summarize(g, result)
-    return {
-        "n": g.n,
-        "edge_count": g.edge_count,
-        "alpha": result.alpha,
-        "summary": asdict(stats),
-        "community_sizes": [len(c) for c in result.communities],
-        "seed_log": [asdict(rec) for rec in result.seed_log],
-    }
-
-
-def _cmd_detect(args) -> int:
-    started = time.perf_counter()
+def _cmd_detect(args) -> tuple[dict, str]:
     g = _load_graph(args.input, args.simplify)
-    strategy = args.seed_strategy.replace("-", "_")
-    result = essc(g, alpha=args.alpha, seed_strategy=strategy)
+    result = essc(g, alpha=args.alpha, seed_strategy=args.seed_strategy)
     Path(args.output).write_text(
         write_communities(result.communities, result.background, g.labels)
     )
-    report = {
-        "command": "detect",
-        "parameters": {
-            "input": args.input,
-            "alpha": args.alpha,
-            "seed_strategy": strategy,
-            "simplify": args.simplify,
-            "output": args.output,
-        },
-        "duration_seconds": time.perf_counter() - started,
-        **_result_report(g, result),
+    stats = asdict(summarize(g, result))
+    fields = {
+        "n": g.n,
+        "edge_count": g.edge_count,
+        "alpha": result.alpha,
+        "summary": stats,
+        "community_sizes": [len(c) for c in result.communities],
+        "seed_log": [asdict(rec) for rec in result.seed_log],
     }
-    _write_report(args.summary, report)
-    stats = report["summary"]
-    print(
+    return fields, (
         f"communities: {stats['community_count']}  "
         f"background: {len(result.background)}/{g.n}"
     )
-    return 0
-
-
-_GENERATE_KINDS = {
-    "er": "er",
-    "config": "config",
-    "sbm-single": "sbm_single",
-    "lfr": "lfr",
-    "lfr-bg": "lfr_bg",
-}
 
 
 def _spec_from_args(args) -> bench.BenchmarkSpec:
-    kind = _GENERATE_KINDS[args.kind]
+    kind = args.kind.replace("-", "_")
     fields = {}
     for name in ("dbar", "tau1", "tau2", "mu", "rho", "pi", "kappa", "theta"):
         fields[name] = getattr(args, name, None)
@@ -123,8 +95,7 @@ def _spec_from_args(args) -> bench.BenchmarkSpec:
     )
 
 
-def _cmd_generate(args) -> int:
-    started = time.perf_counter()
+def _cmd_generate(args) -> tuple[dict, str]:
     args.rng_seed = _resolve_seed(args.rng_seed)
     spec = _spec_from_args(args)
     g, truth = bench.generate(spec)
@@ -133,27 +104,16 @@ def _cmd_generate(args) -> int:
         Path(args.truth).write_text(
             write_communities(truth.communities, truth.background, g.labels)
         )
-    report = {
-        "command": f"generate {args.kind}",
-        "parameters": {
-            k: v for k, v in vars(args).items() if k not in ("func", "kind")
-        },
-        "duration_seconds": time.perf_counter() - started,
+    fields = {
         "n": g.n,
         "edge_count": g.edge_count,
         "mean_degree": float(g.degrees.mean()) if g.n else 0.0,
         "planted_communities": len(truth.communities),
     }
-    _write_report(args.report, report)
-    print(
+    return fields, (
         f"wrote {args.out}: n={g.n} edges={g.edge_count} "
         f"communities={len(truth.communities)}"
     )
-    return 0
-
-
-def _load_cover(path: str) -> tuple[list[list[str]], list[str]]:
-    return read_communities(Path(path).read_text())
 
 
 def _tokens_to_cover(
@@ -165,8 +125,8 @@ def _tokens_to_cover(
 
 
 def _evaluate(metric: str, pred_path: str, truth_path: str) -> float:
-    raw_pred = _load_cover(pred_path)
-    raw_truth = _load_cover(truth_path)
+    raw_pred = read_communities(Path(pred_path).read_text())
+    raw_truth = read_communities(Path(truth_path).read_text())
     tokens = set()
     for raw in (raw_pred, raw_truth):
         for line in raw[0]:
@@ -202,18 +162,9 @@ def _evaluate(metric: str, pred_path: str, truth_path: str) -> float:
     )
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_eval(args) -> tuple[dict, str]:
     score = _evaluate(args.metric, args.pred, args.truth)
-    report = {
-        "command": "eval",
-        "parameters": {"pred": args.pred, "truth": args.truth, "metric": args.metric},
-        "duration_seconds": time.perf_counter() - started,
-        "score": score,
-    }
-    _write_report(args.report, report)
-    print(score)
-    return 0
+    return {"score": score}, str(score)
 
 
 def sweep_alpha(
@@ -243,36 +194,24 @@ def sweep_alpha(
     return rows
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def _cmd_sweep(args) -> tuple[dict, str]:
     g = _load_graph(args.input, args.simplify)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    strategy = args.seed_strategy.replace("-", "_")
-    rows = sweep_alpha(g, alphas, args.reference_alpha, strategy)
-    report = {
-        "command": "sweep-alpha",
-        "parameters": {
-            "input": args.input,
-            "alphas": alphas,
-            "reference_alpha": args.reference_alpha,
-            "seed_strategy": strategy,
-            "simplify": args.simplify,
-        },
-        "duration_seconds": time.perf_counter() - started,
-        "rows": rows,
-    }
-    _write_report(args.output, report)
-    for row in rows:
-        print(
-            f"alpha={row['alpha']:.4g} communities={row['community_count']} "
-            f"background={row['background_proportion']:.4f} "
-            f"background_jaccard={row['background_jaccard']:.4f}"
-        )
-    return 0
+    rows = sweep_alpha(g, args.alphas, args.reference_alpha, args.seed_strategy)
+    lines = [
+        f"alpha={row['alpha']:.4g} communities={row['community_count']} "
+        f"background={row['background_proportion']:.4f} "
+        f"background_jaccard={row['background_jaccard']:.4f}"
+        for row in rows
+    ]
+    return {"rows": rows}, "\n".join(lines)
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle(args) -> tuple[dict, str]:
+    # a NaN fails both comparisons
+    if not 0.0 < args.set_fraction <= 1.0:
+        raise ParameterError(f"set-fraction must lie in (0, 1], got {args.set_fraction}")
+    if args.target_degree is not None and not math.isfinite(args.target_degree):
+        raise ParameterError(f"target-degree must be finite, got {args.target_degree}")
     args.rng_seed = _resolve_seed(args.rng_seed)
     rng = np.random.default_rng(args.rng_seed)
     degrees = bench.sample_powerlaw_degrees(args.n, args.tau1, args.dbar, rng)
@@ -290,18 +229,28 @@ def _cmd_oracle(args) -> int:
     )
     p_block = float(degrees[members].sum() / degrees.sum())
     tv = metrics.tv_distance(empirical, metrics.binomial_pmf(int(degrees[u]), p_block))
-    report = {
-        "command": "oracle",
-        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
-        "duration_seconds": time.perf_counter() - started,
+    fields = {
         "vertex_degree": int(degrees[u]),
         "set_size": size,
         "block_probability": p_block,
         "tv_distance": tv,
     }
-    _write_report(args.report, report)
-    print(tv)
-    return 0
+    return fields, str(tv)
+
+
+def _alpha_list(text: str) -> list[float]:
+    return [float(a) for a in text.split(",") if a.strip()]
+
+
+def _add_detection_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="edge-list file")
+    # the hyphenated spelling is normalised to the detect.SEED_* names
+    p.add_argument("--seed-strategy", default=SEED_MAX_DEGREE,
+                   type=lambda s: s.replace("-", "_"),
+                   choices=[SEED_MAX_DEGREE, SEED_ALL_NEIGHBORHOODS],
+                   metavar="{max-degree,all-neighborhoods}")
+    p.add_argument("--simplify", action="store_true",
+                   help="collapse multi-edges and drop self-loops first")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,15 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("detect", help="extract communities from an edge list")
-    p.add_argument("--input", required=True, help="edge-list file")
+    _add_detection_options(p)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                    help="false discovery rate level (default 0.05)")
     p.add_argument("--output", required=True, help="community file to write")
-    p.add_argument("--summary", help="JSON run report to write")
-    p.add_argument("--seed-strategy", default="max-degree",
-                   choices=["max-degree", "all-neighborhoods"])
-    p.add_argument("--simplify", action="store_true",
-                   help="collapse multi-edges and drop self-loops first")
+    p.add_argument("--summary", dest="report", help="JSON run report to write")
     p.set_defaults(func=_cmd_detect)
 
     gen = sub.add_parser("generate", help="write a benchmark graph and its truth")
@@ -377,15 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep-alpha", help="detection stability across levels")
-    p.add_argument("--input", required=True, help="edge-list file")
-    p.add_argument("--alphas",
+    _add_detection_options(p)
+    p.add_argument("--alphas", type=_alpha_list,
                    default="0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.10",
                    help="comma-separated levels")
     p.add_argument("--reference-alpha", type=float, default=0.05)
-    p.add_argument("--seed-strategy", default="max-degree",
-                   choices=["max-degree", "all-neighborhoods"])
-    p.add_argument("--simplify", action="store_true")
-    p.add_argument("--output", help="JSON report to write")
+    p.add_argument("--output", dest="report", help="JSON report to write")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("oracle", help="Monte-Carlo check of the binomial "
@@ -406,13 +348,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        fields, line = args.func(args)
+        duration = time.perf_counter() - started
+        if args.report:
+            command = " ".join(filter(None, (args.command, getattr(args, "kind", None))))
+            report = {
+                "command": command,
+                "parameters": {
+                    k: v for k, v in vars(args).items()
+                    if k not in ("func", "command", "kind", "report")
+                },
+                "duration_seconds": duration,
+                **fields,
+            }
+            Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
     except (EsscError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(line)
+    return 0
 
 
 if __name__ == "__main__":

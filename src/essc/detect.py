@@ -151,21 +151,6 @@ def _closed_neighborhood(g: MultiGraph, u: int) -> VertexSet:
     return frozenset(int(v) for v in g.neighbors(u)) | {u}
 
 
-def next_seed(g: MultiGraph, uncovered: Iterable[int]) -> VertexSet:
-    """Seed set for the next extraction: the closed neighborhood of the
-    smallest-id maximal-degree uncovered vertex.
-
-    Neighbors are taken from the whole graph, whether or not they already
-    lie in a detected community.
-    """
-    members = as_vertex_set(uncovered, g.n)
-    if not members:
-        raise ValueError("uncovered set is empty; no seed exists")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(members)] = True
-    return _closed_neighborhood(g, _max_degree_anchor(g, mask))
-
-
 def _record(
     anchor: int,
     seed: VertexSet,

@@ -213,7 +213,8 @@ def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
     an optional integer multiplicity (default 1). Labels are arbitrary
     strings mapped to dense ids in first-seen order; repeated lines
     accumulate multiplicity. Lines starting with '#' and blank lines are
-    skipped.
+    skipped, so no label may start with '#': such a label in the second
+    column raises EdgeListParseError.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     id_of: dict[str, int] = {}
@@ -236,7 +237,14 @@ def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
             if mult < 1:
                 raise EdgeListParseError(lineno, f"multiplicity must be >= 1, got {mult}")
         us.append(id_of.setdefault(tokens[0], len(id_of)))
-        vs.append(id_of.setdefault(tokens[1], len(id_of)))
+        # a first-column label cannot start with '#' (the line is a
+        # comment), so only a new second-column label needs the check
+        v = id_of.get(tokens[1])
+        if v is None:
+            if tokens[1].startswith("#"):
+                raise EdgeListParseError(lineno, f"label {tokens[1]!r} starts with the comment mark '#'")
+            v = id_of[tokens[1]] = len(id_of)
+        vs.append(v)
         ms.append(mult)
 
     labels = list(id_of)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ def test_non_finite_parameters_are_rejected_before_any_draw():
         with pytest.raises(ParameterError, match="finite"):
             call(rng)
         assert rng.bit_generator.state == before
+
+
+def test_powerlaw_weights_that_underflow_are_rejected_before_any_draw():
+    # 10 ** -1e4 and 20 ** -400 underflow to 0, so the truncated mean for a
+    # lower cutoff above them is 0 / 0; mean 2 is reachable at d_min = 2
+    for n, tau, dbar in ((100, 1e4, 1.0), (100, 400.0, 2.0)):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="underflows"):
+                sample_powerlaw_degrees(n, tau, dbar, rng)
+        assert rng.bit_generator.state == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="underflows"):
+            generate(BenchmarkSpec(kind="config", n=100, dbar=5.0, tau1=1e4, rng_seed=1))
 
 
 def test_community_size_weights_must_not_vanish():

@@ -222,6 +222,39 @@ def test_generate_rejects_non_finite_parameters(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--set-fraction", "-0.5"),
+    ("--set-fraction", "0"),
+    ("--set-fraction", "1.5"),
+    ("--set-fraction", "nan"),
+    ("--set-fraction", "inf"),
+    ("--target-degree", "nan"),
+    ("--target-degree", "inf"),
+])
+def test_oracle_rejects_bad_inputs(flag, value, tmp_path, capsys):
+    report = tmp_path / "oracle.json"
+    argv = {"--set-fraction": "0.1", "--target-degree": "12", flag: value}
+    code = main([
+        "oracle", "--n", "100", "--tau1", "2", "--dbar", "10", "--samples", "200",
+        "--rng-seed", "7", "--report", str(report),
+        *(token for item in argv.items() for token in item),
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]} must ")
+    assert not report.exists()
+
+
+def test_oracle_whole_set_fraction_takes_every_other_vertex(tmp_path):
+    report = tmp_path / "oracle.json"
+    assert main([
+        "oracle", "--n", "50", "--tau1", "2", "--dbar", "6", "--set-fraction", "1",
+        "--samples", "200", "--rng-seed", "3", "--report", str(report),
+    ]) == 0
+    assert json.loads(report.read_text())["set_size"] == 49
+
+
 def test_eval_rejects_mismatched_vertex_sets(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -337,13 +370,11 @@ CONTRACT = {
         {
             "command": "generate er",
             "parameters": {
-                "command": "generate",
                 "dbar": 4.0,
                 "n": 30,
                 "rng_seed": 1,
                 "out": "{tmp}/e.txt",
                 "truth": None,
-                "report": "{tmp}/r.json",
             },
             "n": 30,
             "edge_count": 57,
@@ -360,7 +391,6 @@ CONTRACT = {
         {
             "command": "generate lfr",
             "parameters": {
-                "command": "generate",
                 "dbar": 8.0,
                 "tau1": 2.0,
                 "tau2": 1.0,
@@ -372,7 +402,6 @@ CONTRACT = {
                 "rng_seed": 2,
                 "out": "{tmp}/l.txt",
                 "truth": "{tmp}/t.txt",
-                "report": "{tmp}/r.json",
             },
             "n": 100,
             "edge_count": 336,
@@ -485,7 +514,6 @@ CONTRACT = {
         {
             "command": "oracle",
             "parameters": {
-                "command": "oracle",
                 "n": 100,
                 "tau1": 2.0,
                 "dbar": 10.0,
@@ -493,7 +521,6 @@ CONTRACT = {
                 "samples": 500,
                 "rng_seed": 7,
                 "target_degree": 12.0,
-                "report": "{tmp}/r.json",
             },
             "vertex_degree": 12,
             "set_size": 10,

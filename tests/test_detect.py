@@ -17,10 +17,10 @@ from essc.detect import (
     TERM_FIXED_POINT,
     TERM_ITERATION_CAP,
     DetectionResult,
+    _closed_neighborhood,
     background_of,
     community_search,
     essc,
-    next_seed,
     read_communities,
     summarize,
     write_communities,
@@ -86,22 +86,22 @@ def test_community_search_usually_empty_on_noise():
     assert empties >= 28
 
 
-def test_next_seed_star():
+def test_max_degree_seed_star():
     g = MultiGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert next_seed(g, range(5)) == frozenset(range(5))
+    first = essc(g).seed_log[0]
+    assert (first.anchor, first.seed_size) == (0, 5)
 
 
-def test_next_seed_tie_breaks_to_smallest_id():
+def test_max_degree_seed_tie_breaks_to_smallest_id():
     edges = [(2, 0), (2, 1), (2, 3), (5, 6), (5, 7), (5, 8)]
     g = MultiGraph.from_edges(10, edges)
-    assert next_seed(g, range(10)) == frozenset({0, 1, 2, 3})
+    first = essc(g).seed_log[0]
+    assert (first.anchor, first.seed_size) == (2, 4)
 
 
-def test_next_seed_isolated_vertex_and_empty_uncovered():
+def test_closed_neighborhood_of_isolated_vertex():
     g = MultiGraph.from_edges(8, [(0, 1)])
-    assert next_seed(g, {7}) == frozenset({7})
-    with pytest.raises(ValueError):
-        next_seed(g, set())
+    assert _closed_neighborhood(g, 7) == frozenset({7})
 
 
 def test_essc_two_cliques():

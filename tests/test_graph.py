@@ -62,6 +62,21 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     assert err.value.lineno == lineno
 
 
+def test_label_starting_with_comment_mark_is_rejected():
+    # a first-column '#b' would make the line a comment, so '#b' cannot
+    # round-trip through write_edge_list
+    with pytest.raises(EdgeListParseError, match="'#b'") as err:
+        parse_edge_list("x y\nx #b\ny #b\n")
+    assert err.value.lineno == 2
+
+
+def test_labels_round_trip_through_write():
+    g = parse_edge_list("x b#\n# comment\ny b# 2\nb# x\n")
+    h = parse_edge_list(write_edge_list(g))
+    assert h.labels == g.labels
+    assert list(h.edge_classes()) == list(g.edge_classes())
+
+
 def test_boundary_count_triangle():
     g = triangle()
     assert g.boundary_count(0, {1, 2}) == 2
