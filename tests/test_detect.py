@@ -1,6 +1,7 @@
 """Fixed-point search, the extraction loop, and result summaries."""
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from essc.bench import (
     single_embedded_theta,
 )
 from essc.detect import (
+    TERM_CYCLE,
     TERM_EMPTY,
     TERM_FIXED_POINT,
     TERM_ITERATION_CAP,
@@ -228,6 +230,52 @@ def test_essc_output_is_pinned(spec, strategy, communities_sha, seed_log_sha, ed
     assert hashlib.sha256(repr(result.seed_log).encode()).hexdigest() == seed_log_sha
     if spec.kind == "sbm_single":
         assert any(rec.fallback and rec.accepted for rec in result.seed_log)
+
+
+@lru_cache(maxsize=None)
+def _flutter_graph(rng_seed):
+    return generate(BenchmarkSpec(kind="lfr", mu=0.5, rho=0.0, **{**_LFR, "rng_seed": rng_seed}))[0]
+
+
+def _members(c):
+    # a small set spelled out, a large one by the sha256 of its sorted ids
+    ids = sorted(c)
+    return tuple(ids) if len(ids) <= 10 else hashlib.sha256(" ".join(map(str, ids)).encode()).hexdigest()
+
+
+# searches from one anchor's closed neighborhood on mu=0.5 LFR graphs, where
+# threshold flutter traps the orbit in short cycles: (graph seed, anchor,
+# termination, iterations, returned set, trace)
+_FLUTTER = [
+    # {341} <-> {91}; the intersection is empty and the union {91, 341} maps
+    # back to {341}, so the pick breaks the size tie toward the smaller ids
+    (0, 111, TERM_CYCLE, 5, (91,), [16, 2, 1, 1, 2, 1]),
+    # {944} <-> {103}; the union escape empties out
+    (0, 449, TERM_EMPTY, 5, (), [17, 2, 1, 1, 2, 0]),
+    # {226} <-> {719, 721}; the union maps back to {226}, the smaller set
+    (4, 879, TERM_CYCLE, 5, (226,), [16, 2, 1, 2, 3, 1]),
+    # a cycle entered after four shrinking steps: {556} <-> {798}
+    (4, 972, TERM_CYCLE, 7, (556,), [17, 5, 3, 4, 2, 1, 1, 1]),
+    # escapes that lead on to a community
+    (0, 146, TERM_FIXED_POINT, 10,
+     "d1b806c77be57386d4b5de20a563371cfd50b26551e5f9a69e8d6952fae7f89d",
+     [16, 2, 3, 2, 5, 20, 57, 83, 87, 88, 88]),
+    (4, 565, TERM_FIXED_POINT, 14,
+     "8efc946c2a7c2cde7861a30a7219048df1d3a31b3db24078eaec7b3d23e4d0c7",
+     [18, 4, 4, 3, 3, 4, 7, 13, 31, 64, 90, 93, 93, 92, 92]),
+    # four escapes in one search
+    (4, 993, TERM_FIXED_POINT, 19,
+     "afb8d549b39cbca2463b5fb42490e956161bcbd65e428ef63383b09b9543346a",
+     [19, 2, 3, 4, 1, 3, 4, 3, 4, 2, 1, 6, 8, 16, 35, 70, 89, 94, 95, 95]),
+]
+
+
+@pytest.mark.parametrize("rng_seed, anchor, termination, iterations, members, trace", _FLUTTER)
+def test_cycle_escapes_and_pick_are_pinned(rng_seed, anchor, termination, iterations, members, trace):
+    g = _flutter_graph(rng_seed)
+    out = community_search(g, _closed_neighborhood(g, anchor), 0.05)
+    assert (out.termination, out.iterations, out.trace) == (termination, iterations, trace)
+    assert _members(out.community) == members
 
 
 def test_essc_extraction_count_is_bounded():
