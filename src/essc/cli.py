@@ -207,6 +207,9 @@ def _cmd_sweep(args) -> tuple[dict, str]:
 
 
 def _cmd_oracle(args) -> tuple[dict, str]:
+    # the probe vertex needs at least one other vertex to form the set
+    if args.n < 2:
+        raise ParameterError(f"n must be >= 2, got {args.n}")
     # a NaN fails both comparisons
     if not 0.0 < args.set_fraction <= 1.0:
         raise ParameterError(f"set-fraction must lie in (0, 1], got {args.set_fraction}")

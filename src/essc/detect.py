@@ -12,13 +12,17 @@ detected community is background.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGraphError
-from .graph import MultiGraph, VertexSet, as_vertex_set
-from .significance import bh_select, select_by_rank
+from .graph import MultiGraph, VertexSet, as_id_array
+# community_search runs the array form of the step, `_select`; bh_select,
+# its public form, stays importable here because perfbench/tracing.py
+# patches this name
+from .significance import _select, bh_select, select_by_rank  # noqa: F401
 
 TERM_FIXED_POINT = "fixed_point"
 TERM_EMPTY = "empty"
@@ -100,45 +104,44 @@ def community_search(
     - ``iteration_cap``: `MAX_ITER` updates ran without settling; the
       last set is returned.
     """
-    seed = as_vertex_set(seed, g.n)
-    if not seed:
+    # sets are held as ascending id arrays; only the outcome is a frozenset
+    current = as_id_array(seed, g.n)
+    if not current.size:
         raise ValueError("seed set must be non-empty")
-    visited: dict[VertexSet, int] = {seed: 0}
-    history: list[VertexSet] = [seed]
-    trace: list[int] = [len(seed)]
-    current = seed
-    first_cycle: list[VertexSet] | None = None
+    visited: dict[bytes, int] = {current.tobytes(): 0}
+    history: list[np.ndarray] = [current]
+    trace: list[int] = [current.size]
+    first_cycle: list[np.ndarray] | None = None
     for step in range(1, MAX_ITER + 1):
-        new = bh_select(g, current, alpha)
-        trace.append(len(new))
-        if new == current:
-            return SearchOutcome(new, step, TERM_FIXED_POINT, trace)
-        if not new:
-            return SearchOutcome(new, step, TERM_EMPTY, trace)
-        if new in visited:
+        new = _select(g, current, alpha)
+        trace.append(new.size)
+        if np.array_equal(new, current):
+            return SearchOutcome(frozenset(new.tolist()), step, TERM_FIXED_POINT, trace)
+        if not new.size:
+            return SearchOutcome(frozenset(), step, TERM_EMPTY, trace)
+        key = new.tobytes()
+        if key in visited:
             # threshold flutter often traps the orbit in a short cycle
             # around a genuine fixed point; restart deterministically from
             # the cycle's intersection (then union) before conceding
-            cycle_sets = history[visited[new]:]
+            cycle_sets = history[visited[key]:]
             if first_cycle is None:
                 first_cycle = cycle_sets
             escape = None
-            for candidate in (
-                frozenset.intersection(*cycle_sets),
-                frozenset.union(*cycle_sets),
-            ):
-                if candidate and candidate not in visited:
+            for candidate in (reduce(np.intersect1d, cycle_sets), reduce(np.union1d, cycle_sets)):
+                if candidate.size and candidate.tobytes() not in visited:
                     escape = candidate
                     break
             if escape is None:
-                pick = min(first_cycle, key=lambda s: (len(s), tuple(sorted(s))))
-                return SearchOutcome(pick, step, TERM_CYCLE, trace)
+                pick = min(first_cycle, key=lambda s: (s.size, s.tolist()))
+                return SearchOutcome(frozenset(pick.tolist()), step, TERM_CYCLE, trace)
             new = escape
-            trace[-1] = len(new)
-        visited[new] = len(history)
+            key = new.tobytes()
+            trace[-1] = new.size
+        visited[key] = len(history)
         history.append(new)
         current = new
-    return SearchOutcome(current, MAX_ITER, TERM_ITERATION_CAP, trace)
+    return SearchOutcome(frozenset(current.tolist()), MAX_ITER, TERM_ITERATION_CAP, trace)
 
 
 def _max_degree_anchor(g: MultiGraph, uncovered_mask: np.ndarray) -> int:
@@ -148,7 +151,7 @@ def _max_degree_anchor(g: MultiGraph, uncovered_mask: np.ndarray) -> int:
 
 
 def _closed_neighborhood(g: MultiGraph, u: int) -> VertexSet:
-    return frozenset(int(v) for v in g.neighbors(u)) | {u}
+    return frozenset(g.neighbors(u).tolist()) | {u}
 
 
 def _record(
@@ -273,10 +276,10 @@ def essc(
 
 def background_of(n: int, communities: Sequence[Iterable[int]]) -> VertexSet:
     """Vertices of ``[0, n)`` that belong to no community."""
-    covered: set[int] = set()
+    covered = np.zeros(n, dtype=bool)
     for c in communities:
-        covered.update(as_vertex_set(c, n))
-    return frozenset(range(n)) - covered
+        covered[as_id_array(c, n)] = True
+    return frozenset(np.flatnonzero(~covered).tolist())
 
 
 def summarize(g: MultiGraph, result: DetectionResult) -> SummaryStats:
@@ -326,11 +329,9 @@ def write_communities(
     given order, then a final ``background:`` line. Vertex labels default
     to the numeric ids.
     """
-    def name(v: int) -> str:
-        return labels[v] if labels is not None else str(v)
-
-    lines = [" ".join(name(v) for v in sorted(c)) for c in communities]
-    lines.append("background: " + " ".join(name(v) for v in sorted(background)))
+    name = str if labels is None else labels.__getitem__
+    lines = [" ".join(map(name, sorted(c))) for c in communities]
+    lines.append("background: " + " ".join(map(name, sorted(background))))
     return "".join(line.rstrip() + "\n" for line in lines)
 
 

@@ -15,23 +15,30 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import EdgeListParseError
 
 VertexSet = frozenset[int]
 
 
-def as_vertex_set(members: Iterable[int], n: int) -> VertexSet:
-    """Normalize `members` to a frozenset, validating ids against ``[0, n)``.
+def as_id_array(members: Iterable[int], n: int) -> np.ndarray:
+    """The distinct ids of `members` as an ascending int64 array,
+    validated as integers in ``[0, n)``.
 
     Ids must be integers (`operator.index`); a float raises TypeError
     rather than being truncated.
     """
-    out = frozenset(operator.index(v) for v in members)
-    for v in out:
-        if v < 0 or v >= n:
-            raise ValueError(f"vertex id {v} out of range for graph with n={n}")
-    return out
+    ids = np.unique(np.fromiter(map(operator.index, members), dtype=np.int64))
+    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise ValueError(f"vertex id {bad} out of range for graph with n={n}")
+    return ids
+
+
+def as_vertex_set(members: Iterable[int], n: int) -> VertexSet:
+    """Normalize `members` to a frozenset, validated as by `as_id_array`."""
+    return frozenset(as_id_array(members, n).tolist())
 
 
 class MultiGraph:
@@ -41,7 +48,9 @@ class MultiGraph:
     `edge_count` counts edges with multiplicity (a self-loop counts 1).
     """
 
-    __slots__ = ("n", "edge_count", "degrees", "labels", "_indptr", "_indices", "_data")
+    __slots__ = (
+        "n", "edge_count", "degrees", "labels", "_indptr", "_indices", "_data", "_log_factorials",
+    )
 
     def __init__(
         self,
@@ -60,6 +69,7 @@ class MultiGraph:
         self._data = data
         self.degrees = np.diff(np.concatenate([[0], np.cumsum(data)])[indptr])
         self.edge_count = int(data.sum()) // 2
+        self._log_factorials = None
         if labels is not None:
             if len(labels) != self.n:
                 raise ValueError("labels must have one entry per vertex")
@@ -134,15 +144,6 @@ class MultiGraph:
             raise ValueError(f"vertex id {u} out of range")
         return self._indices[self._indptr[u]:self._indptr[u + 1]]
 
-    def _member_ids(self, members: Iterable[int]) -> np.ndarray:
-        """The distinct member ids, ascending, validated as integers in
-        ``[0, n)``."""
-        ids = np.unique(np.fromiter(map(operator.index, members), dtype=np.int64))
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise ValueError(f"vertex id {bad} out of range")
-        return ids
-
     def boundary_count(self, u: int, members: Iterable[int]) -> int:
         """Edges between `u` and the set, with multiplicity.
 
@@ -151,7 +152,7 @@ class MultiGraph:
         if u < 0 or u >= self.n:
             raise ValueError(f"vertex id {u} out of range")
         lo, hi = self._indptr[u], self._indptr[u + 1]
-        inside = np.isin(self._indices[lo:hi], self._member_ids(members))
+        inside = np.isin(self._indices[lo:hi], as_id_array(members, self.n))
         return int(self._data[lo:hi][inside].sum())
 
     def boundary(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -162,17 +163,21 @@ class MultiGraph:
         its nonzero entries. Each member's row sums to its degree, so the
         counts sum to the set's volume.
         """
-        dense = self._boundary_dense(members)
+        return self.boundary_of_ids(as_id_array(members, self.n))
+
+    def boundary_of_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`boundary` of a set given as distinct ids in ``[0, n)``, which
+        are not checked."""
+        dense = self._boundary_dense(ids)
         # a bool mask scans several times faster than the float array
         vertices = np.flatnonzero(dense > 0)
         return vertices, dense[vertices].astype(np.int64)
 
     def boundary_counts(self, members: Iterable[int]) -> np.ndarray:
         """Boundary count against the set for every vertex at once."""
-        return self._boundary_dense(members).astype(np.int64)
+        return self._boundary_dense(as_id_array(members, self.n)).astype(np.int64)
 
-    def _boundary_dense(self, members: Iterable[int]) -> np.ndarray:
-        ids = self._member_ids(members)
+    def _boundary_dense(self, ids: np.ndarray) -> np.ndarray:
         starts = self._indptr[ids]
         lengths = self._indptr[ids + 1] - starts
         # entry j of the gathered rows is entry starts[r] + j - offsets[r]
@@ -180,9 +185,16 @@ class MultiGraph:
         entries = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
         return np.bincount(self._indices[entries], weights=self._data[entries], minlength=self.n)
 
+    def log_factorials(self) -> np.ndarray:
+        """ln(i!) for i = 0..max degree, built on first use and kept, since
+        the graph never changes."""
+        if self._log_factorials is None:
+            self._log_factorials = gammaln(np.arange(1.0, self.degrees.max(initial=0) + 2))
+        return self._log_factorials
+
     def volume(self, members: Iterable[int]) -> int:
         """Sum of member degrees."""
-        return int(self.degrees[self._member_ids(members)].sum())
+        return int(self.degrees[as_id_array(members, self.n)].sum())
 
     def _rows(self) -> np.ndarray:
         """The row of every adjacency entry."""

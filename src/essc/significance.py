@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DegenerateGraphError
-from .graph import MultiGraph, VertexSet
+from .graph import MultiGraph, VertexSet, as_id_array
 
 
 def block_probability(g: MultiGraph, b: Iterable[int]) -> float:
@@ -109,22 +109,22 @@ def connection_pvalue(g: MultiGraph, u: int, b: Iterable[int]) -> float:
     return float(pvalue_table(g, b).pvalues[u])
 
 
-def _scored(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices with an edge into `b`, ascending, and their p-values.
-    Every other vertex has p = 1."""
+def _boundary_law(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The vertices with an edge into the set of distinct ids, ascending,
+    their counts into it, and p(B). Every other vertex has p-value 1."""
     if g.edge_count == 0:
         raise DegenerateGraphError("graph has no edges; reference model is undefined")
-    vertices, counts = g.boundary(b)
+    vertices, counts = g.boundary_of_ids(ids)
     # the members' rows sum to their degrees, so the counts sum to vol(B)
-    p = int(counts.sum()) / (2.0 * g.edge_count)
-    return vertices, _binomial_survival_batch(g.degrees[vertices], p, counts)
+    return vertices, counts, int(counts.sum()) / (2.0 * g.edge_count)
 
 
 def _ranked(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """The vertices with an edge into `b`, ordered by (p-value, id), and
     their p-values. Every other vertex has p = 1 and comes after these in
     the full order."""
-    vertices, pvalues = _scored(g, b)
+    vertices, counts, p = _boundary_law(g, as_id_array(b, g.n))
+    pvalues = _binomial_survival_batch(g.degrees[vertices], p, counts)
     # a stable sort keeps the ascending ids in order among equal p-values
     order = np.argsort(pvalues, kind="stable")
     return vertices[order], pvalues[order]
@@ -152,24 +152,71 @@ def select_by_fdr(pvalues: Sequence[float] | np.ndarray, alpha: float) -> frozen
     return frozenset(order[:_bh_cut(p[order], p.size, alpha)].tolist())
 
 
-def bh_select(g: MultiGraph, b: Iterable[int], alpha: float) -> VertexSet:
-    """One update step: vertices significantly connected to `b` at level alpha.
+# Slack, in natural-log units, between the screen's log point mass and
+# log(cut). For k <= 1e6 every term of the log pmf (the three table
+# entries and the two p terms of a vertex near the cut) is below
+# ln(1e6!) ~ 1.3e7 in magnitude, where one ulp is 1.9e-9. Each table entry
+# is within a few ulps, and the sum adds about ten roundings, so the log
+# pmf is off by less than 1e-7. The margin is ten times that and also
+# absorbs a relative error below 9e-7 in the computed tail.
+_SCREEN_MARGIN = 1e-6
 
-    A vertex with no edge into `b` has p = 1 and never passes at alpha < 1,
-    so only the K vertices with an edge into `b` are scored; the BH
-    denominator is still n. Only those with p <= alpha * K / n are ordered
-    by (p-value, id) and cut.
+
+def _may_pass(
+    log_factorials: np.ndarray, k: np.ndarray, x: np.ndarray, p: float, cut: float
+) -> np.ndarray:
+    """False where P(X >= x) for X ~ Binomial(k_i, p) certainly exceeds `cut`.
+
+    The tail holds the point mass P(X = x), so a vertex whose mass alone
+    is above the cut fails it; the mass costs a few table lookups where the
+    tail costs an incomplete beta evaluation. At p = 1 (no 1 - p term),
+    p = 0 and on NaN nothing is screened out, and a NaN mass is kept.
     """
-    vertices, pvalues = _scored(g, b)
+    if not 0.0 < p < 1.0:
+        return np.ones(k.size, dtype=bool)
+    log_pmf = (
+        log_factorials[k] - log_factorials[x] - log_factorials[k - x]
+        + x * np.log(p) + (k - x) * np.log1p(-p)
+    )
+    return ~(log_pmf > np.log(cut) + _SCREEN_MARGIN)
+
+
+def _select(g: MultiGraph, ids: np.ndarray, alpha: float) -> np.ndarray:
+    """One update step on a set given as distinct ids in ``[0, n)``: the
+    vertices significantly connected to it at level alpha, ascending.
+
+    A vertex with no edge into the set has p = 1 and never passes at
+    alpha < 1, so only the K vertices with an edge into it are scored; the
+    BH denominator is still n. Only those with p <= alpha * K / n are
+    ordered and cut, and a vertex whose point mass already exceeds that
+    bound is dropped before its tail is computed.
+    """
+    vertices, counts, p = _boundary_law(g, ids)
+    degrees = g.degrees[vertices]
     # the cut's threshold alpha * k / n rounds monotonically in k and no
     # rank past K exists, so a vertex above alpha * K / n fails at every
     # rank. The vertices left out are a suffix of the (p-value, id) order
     # that the cut never reaches, and the kept ones are its prefix.
-    keep = pvalues <= alpha * vertices.size / g.n
+    cut = alpha * vertices.size / g.n
+    hopeful = _may_pass(g.log_factorials(), degrees, counts, p, cut)
+    vertices, counts, degrees = vertices[hopeful], counts[hopeful], degrees[hopeful]
+    pvalues = _binomial_survival_batch(degrees, p, counts)
+    keep = pvalues <= cut
     vertices, pvalues = vertices[keep], pvalues[keep]
-    # a stable sort keeps the ascending ids in order among equal p-values
-    order = np.argsort(pvalues, kind="stable")
-    return frozenset(vertices[order[:_bh_cut(pvalues[order], g.n, alpha)]].tolist())
+    sorted_p = np.sort(pvalues)
+    passed = _bh_cut(sorted_p, g.n, alpha)
+    if passed == 0:
+        return vertices[:0]
+    # a vertex tied with the last one kept would pass at the next rank
+    # too, so the first `passed` in (p-value, id) order are exactly those
+    # with p at most the passed-th smallest p-value
+    return vertices[pvalues <= sorted_p[passed - 1]]
+
+
+def bh_select(g: MultiGraph, b: Iterable[int], alpha: float) -> VertexSet:
+    """One update step: vertices significantly connected to `b` at level
+    alpha (see `_select`)."""
+    return frozenset(_select(g, as_id_array(b, g.n), alpha).tolist())
 
 
 def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:

@@ -223,6 +223,8 @@ def test_generate_rejects_non_finite_parameters(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
+    ("--n", "0"),
+    ("--n", "1"),
     ("--set-fraction", "-0.5"),
     ("--set-fraction", "0"),
     ("--set-fraction", "1.5"),

@@ -5,12 +5,14 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from essc.errors import DegenerateGraphError
 from essc.graph import MultiGraph
 from essc.significance import (
     _binomial_survival_batch,
+    _may_pass,
     _ranked,
     bh_select,
     binomial_survival,
@@ -232,6 +234,72 @@ def test_bh_select_agrees_with_bruteforce_scan():
         alpha = float(rng.uniform(0.01, 0.95))
         expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
         assert bh_select(g, members, alpha) == expected
+
+
+def test_bh_select_agrees_with_bruteforce_scan_around_a_hub():
+    # a hub with multi-edges to every other vertex has a degree in the
+    # thousands, and a planted group makes some steps select something
+    rng = np.random.default_rng(43)
+    selected = 0
+    for _ in range(60):
+        n = int(rng.integers(20, 200))
+        base = random_multigraph(rng, n, int(rng.integers(n, 6 * n)))
+        u, v, m = (np.array(col) for col in zip(*base.edge_classes()))
+        group = rng.choice(np.arange(1, n), size=int(rng.integers(3, 12)), replace=False)
+        gu, gv = np.triu_indices(group.size, 1)
+        others = np.arange(1, n)
+        g = MultiGraph.from_pair_arrays(
+            n,
+            np.concatenate([u, np.zeros(n - 1, dtype=np.int64), group[gu]]),
+            np.concatenate([v, others, group[gv]]),
+            np.concatenate([m, rng.integers(1, 60, size=n - 1), rng.integers(1, 4, size=gu.size)]),
+        )
+        assert g.degree(0) >= n - 1
+        for members in (
+            {int(x) for x in group[: int(rng.integers(1, group.size + 1))]},
+            {0} | {int(x) for x in rng.choice(n, size=int(rng.integers(1, n)), replace=False)},
+        ):
+            alpha = float(rng.uniform(0.01, 0.95))
+            expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+            assert bh_select(g, members, alpha) == expected
+            selected += bool(expected)
+    assert selected >= 20
+
+
+def test_tail_screen_drops_only_vertices_that_fail_the_cut():
+    # the step drops a vertex without its tail when the point mass
+    # P(X = x) alone exceeds the cut; the tail it would have computed must
+    # then exceed the cut too, at every k up to 1e6 and p near 0 and 1
+    log_factorials = gammaln(np.arange(1.0, 10**6 + 2))
+    rng = np.random.default_rng(37)
+    dropped = 0
+    for _ in range(300):
+        near_0, near_1 = 10 ** -rng.uniform(1, 9), 1 - 10 ** -rng.uniform(1, 9)
+        p = float(rng.choice([near_0, near_1, rng.uniform(0.01, 0.99)]))
+        k = np.unique(np.rint(10 ** rng.uniform(0, 6, size=100)).astype(np.int64))
+        # x = k, or a count near the mean k * p
+        near_mean = np.rint(k * p + rng.normal(0, 3, size=k.size) * np.sqrt(k * p * (1 - p) + 1))
+        x = np.where(rng.random(k.size) < 0.3, k, np.clip(near_mean, 1, k).astype(np.int64))
+        cut = float(rng.uniform(0.01, 0.95) * 10 ** -rng.uniform(0, 6))
+        drop = ~_may_pass(log_factorials, k, x, p, cut)
+        assert np.all(_binomial_survival_batch(k[drop], p, x[drop]) > cut)
+        dropped += int(drop.sum())
+    assert dropped >= 1000
+    # x = k, where the tail is the point mass p^k itself, with the cut
+    # within a relative 1e-5 of it: only the margin keeps these right
+    borderline = 0
+    for _ in range(2000):
+        k = np.array([int(np.rint(10 ** rng.uniform(0, 6)))])
+        cut = float(rng.uniform(0.01, 0.95) * 10 ** -rng.uniform(0, 6))
+        p = float(np.exp((np.log(cut) + rng.uniform(-1e-5, 1e-5)) / k[0]))
+        if not _may_pass(log_factorials, k, k, p, cut)[0]:
+            assert _binomial_survival_batch(k, p, k)[0] > cut
+            borderline += 1
+    assert borderline >= 500
+    # nothing is screened at p = 1, at p = 0 or on NaN
+    k = np.array([5, 10])
+    for p in (1.0, 0.0, float("nan")):
+        assert _may_pass(log_factorials, k, np.array([1, 10]), p, 0.5).all()
 
 
 def test_select_by_rank_orders_by_pvalue_then_id():
