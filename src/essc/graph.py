@@ -15,7 +15,6 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EdgeListParseError
 
@@ -48,9 +47,7 @@ class MultiGraph:
     `edge_count` counts edges with multiplicity (a self-loop counts 1).
     """
 
-    __slots__ = (
-        "n", "edge_count", "degrees", "labels", "_indptr", "_indices", "_data", "_log_factorials",
-    )
+    __slots__ = ("n", "edge_count", "degrees", "labels", "_indptr", "_indices", "_data")
 
     def __init__(
         self,
@@ -69,7 +66,6 @@ class MultiGraph:
         self._data = data
         self.degrees = np.diff(np.concatenate([[0], np.cumsum(data)])[indptr])
         self.edge_count = int(data.sum()) // 2
-        self._log_factorials = None
         if labels is not None:
             if len(labels) != self.n:
                 raise ValueError("labels must have one entry per vertex")
@@ -163,9 +159,9 @@ class MultiGraph:
         its nonzero entries. Each member's row sums to its degree, so the
         counts sum to the set's volume.
         """
-        return self.boundary_of_ids(as_id_array(members, self.n))
+        return self._boundary_of_ids(as_id_array(members, self.n))
 
-    def boundary_of_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _boundary_of_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`boundary` of a set given as distinct ids in ``[0, n)``, which
         are not checked."""
         dense = self._boundary_dense(ids)
@@ -184,13 +180,6 @@ class MultiGraph:
         offsets = np.cumsum(lengths) - lengths
         entries = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
         return np.bincount(self._indices[entries], weights=self._data[entries], minlength=self.n)
-
-    def log_factorials(self) -> np.ndarray:
-        """ln(i!) for i = 0..max degree, built on first use and kept, since
-        the graph never changes."""
-        if self._log_factorials is None:
-            self._log_factorials = gammaln(np.arange(1.0, self.degrees.max(initial=0) + 2))
-        return self._log_factorials
 
     def volume(self, members: Iterable[int]) -> int:
         """Sum of member degrees."""

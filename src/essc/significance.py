@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, gammaln
 
 from .errors import DegenerateGraphError
 from .graph import MultiGraph, VertexSet, as_id_array
@@ -114,7 +114,7 @@ def _boundary_law(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     their counts into it, and p(B). Every other vertex has p-value 1."""
     if g.edge_count == 0:
         raise DegenerateGraphError("graph has no edges; reference model is undefined")
-    vertices, counts = g.boundary_of_ids(ids)
+    vertices, counts = g._boundary_of_ids(ids)
     # the members' rows sum to their degrees, so the counts sum to vol(B)
     return vertices, counts, int(counts.sum()) / (2.0 * g.edge_count)
 
@@ -130,10 +130,14 @@ def _ranked(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     return vertices[order], pvalues[order]
 
 
-def _bh_cut(sorted_p: np.ndarray, n: int, alpha: float) -> int:
-    """Largest k with p_(k) <= (k / n) * alpha over ascending p-values, or 0."""
+def _check_alpha(alpha: float) -> None:
+    # a NaN fails both comparisons
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _bh_cut(sorted_p: np.ndarray, n: int, alpha: float) -> int:
+    """Largest k with p_(k) <= (k / n) * alpha over ascending p-values, or 0."""
     passing = sorted_p <= alpha * np.arange(1, sorted_p.size + 1) / n
     hits = np.nonzero(passing)[0]
     return int(hits[-1]) + 1 if hits.size else 0
@@ -147,33 +151,55 @@ def select_by_fdr(pvalues: Sequence[float] | np.ndarray, alpha: float) -> frozen
     entries. k = 0 yields the empty set. The denominator is the full
     length n of the input.
     """
+    _check_alpha(alpha)
     p = np.asarray(pvalues, dtype=np.float64)
     order = np.argsort(p, kind="stable")
     return frozenset(order[:_bh_cut(p[order], p.size, alpha)].tolist())
 
 
 # Slack, in natural-log units, between the screen's log point mass and
-# log(cut). For k <= 1e6 every term of the log pmf (the three table
-# entries and the two p terms of a vertex near the cut) is below
-# ln(1e6!) ~ 1.3e7 in magnitude, where one ulp is 1.9e-9. Each table entry
-# is within a few ulps, and the sum adds about ten roundings, so the log
-# pmf is off by less than 1e-7. The margin is ten times that and also
-# absorbs a relative error below 9e-7 in the computed tail.
+# log(cut). For k <= _SCREEN_MAX_DEGREE = 1e6 every term of the log pmf
+# (the three table entries and the two p terms of a vertex near the cut)
+# is below ln(1e6!) ~ 1.3e7 in magnitude, where one ulp is 1.9e-9. Each
+# table entry is within a few ulps, and the sum adds about ten roundings,
+# so the log pmf is off by less than 1e-7. The margin is ten times that
+# and also absorbs a relative error below 9e-7 in the computed tail.
 _SCREEN_MARGIN = 1e-6
+# The margin is shown only up to this degree; a vertex above it is kept
+_SCREEN_MAX_DEGREE = 10**6
+
+# ln(i!) for i = 0..size - 1; it depends on no graph, so one table grows
+# as larger degrees are screened and is kept
+_log_factorial_table = np.zeros(1)
 
 
-def _may_pass(
-    log_factorials: np.ndarray, k: np.ndarray, x: np.ndarray, p: float, cut: float
-) -> np.ndarray:
+def _log_factorials(k_max: int) -> np.ndarray:
+    """ln(i!) for at least i = 0..k_max, where k_max <= _SCREEN_MAX_DEGREE."""
+    global _log_factorial_table
+    if _log_factorial_table.size <= k_max:
+        size = min(max(k_max + 1, 2 * _log_factorial_table.size), _SCREEN_MAX_DEGREE + 1)
+        _log_factorial_table = gammaln(np.arange(1.0, size + 1))
+    return _log_factorial_table
+
+
+def _may_pass(k: np.ndarray, x: np.ndarray, p: float, cut: float) -> np.ndarray:
     """False where P(X >= x) for X ~ Binomial(k_i, p) certainly exceeds `cut`.
 
     The tail holds the point mass P(X = x), so a vertex whose mass alone
     is above the cut fails it; the mass costs a few table lookups where the
     tail costs an incomplete beta evaluation. At p = 1 (no 1 - p term),
-    p = 0 and on NaN nothing is screened out, and a NaN mass is kept.
+    p = 0 and on NaN nothing is screened out, nor is a vertex of degree
+    above _SCREEN_MAX_DEGREE, and a NaN mass is kept.
     """
-    if not 0.0 < p < 1.0:
+    if not 0.0 < p < 1.0 or not k.size:
         return np.ones(k.size, dtype=bool)
+    k_max = int(k.max())
+    if k_max > _SCREEN_MAX_DEGREE:
+        may = np.ones(k.size, dtype=bool)
+        low = k <= _SCREEN_MAX_DEGREE
+        may[low] = _may_pass(k[low], x[low], p, cut)
+        return may
+    log_factorials = _log_factorials(k_max)
     log_pmf = (
         log_factorials[k] - log_factorials[x] - log_factorials[k - x]
         + x * np.log(p) + (k - x) * np.log1p(-p)
@@ -191,6 +217,7 @@ def _select(g: MultiGraph, ids: np.ndarray, alpha: float) -> np.ndarray:
     ordered and cut, and a vertex whose point mass already exceeds that
     bound is dropped before its tail is computed.
     """
+    _check_alpha(alpha)
     vertices, counts, p = _boundary_law(g, ids)
     degrees = g.degrees[vertices]
     # the cut's threshold alpha * k / n rounds monotonically in k and no
@@ -198,7 +225,7 @@ def _select(g: MultiGraph, ids: np.ndarray, alpha: float) -> np.ndarray:
     # rank. The vertices left out are a suffix of the (p-value, id) order
     # that the cut never reaches, and the kept ones are its prefix.
     cut = alpha * vertices.size / g.n
-    hopeful = _may_pass(g.log_factorials(), degrees, counts, p, cut)
+    hopeful = _may_pass(degrees, counts, p, cut)
     vertices, counts, degrees = vertices[hopeful], counts[hopeful], degrees[hopeful]
     pvalues = _binomial_survival_batch(degrees, p, counts)
     keep = pvalues <= cut
