@@ -51,11 +51,9 @@ from .metrics import (
     tv_distance,
 )
 from .significance import (
-    PValueTable,
     bh_select,
     binomial_survival,
     block_probability,
-    connection_pvalue,
     pvalue_table,
     select_by_fdr,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "GroundTruth",
     "MultiGraph",
     "ParameterError",
-    "PValueTable",
     "SearchOutcome",
     "SeedRecord",
     "SummaryStats",
@@ -86,7 +83,6 @@ __all__ = [
     "binomial_survival",
     "block_probability",
     "community_search",
-    "connection_pvalue",
     "empirical_boundary_distribution",
     "essc",
     "gen_configuration",

@@ -22,7 +22,7 @@ from .graph import MultiGraph, VertexSet, as_id_array
 # community_search runs the array form of the step, `_select`; bh_select,
 # its public form, stays importable here because perfbench/tracing.py
 # patches this name
-from .significance import _select, bh_select, select_by_rank  # noqa: F401
+from .significance import _check_alpha, _select, bh_select, select_by_rank  # noqa: F401
 
 TERM_FIXED_POINT = "fixed_point"
 TERM_EMPTY = "empty"
@@ -194,15 +194,14 @@ def essc(
     fixed points are kept. Duplicate communities are dropped; overlap
     between distinct communities is preserved as-is.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if g.edge_count == 0:
         raise DegenerateGraphError("graph has no edges; reference model is undefined")
     if seed_strategy not in (SEED_MAX_DEGREE, SEED_ALL_NEIGHBORHOODS):
         raise ValueError(f"unknown seed strategy {seed_strategy!r}")
 
-    communities: list[VertexSet] = []
-    seen: set[VertexSet] = set()
+    # the distinct communities in the order found (a dict keeps it)
+    communities: dict[VertexSet, None] = {}
     seed_log: list[SeedRecord] = []
 
     if seed_strategy == SEED_MAX_DEGREE:
@@ -214,9 +213,7 @@ def essc(
             accepted = outcome.termination == TERM_FIXED_POINT and bool(outcome.community)
             forced = False
             if accepted:
-                if outcome.community not in seen:
-                    seen.add(outcome.community)
-                    communities.append(outcome.community)
+                communities.setdefault(outcome.community)
                 removed = [v for v in outcome.community if uncovered[v]]
                 uncovered[list(outcome.community)] = False
                 if not removed:
@@ -246,35 +243,32 @@ def essc(
             accepted = (
                 retry.termination == TERM_FIXED_POINT
                 and bool(found)
-                and found not in seen
+                and found not in communities
                 and bool(uncovered[list(found)].any())
             )
             seed_log.append(_record(anchor, retry_seed, retry, accepted, fallback=True))
             if not accepted:
                 break
-            seen.add(found)
-            communities.append(found)
+            communities[found] = None
             uncovered[list(found)] = False
     else:
         for u in range(g.n):
             seed = _closed_neighborhood(g, u)
             outcome = community_search(g, seed, alpha)
             accepted = outcome.termination == TERM_FIXED_POINT and bool(outcome.community)
-            if accepted and outcome.community not in seen:
-                seen.add(outcome.community)
-                communities.append(outcome.community)
+            if accepted:
+                communities.setdefault(outcome.community)
             seed_log.append(_record(u, seed, outcome, accepted))
 
-    background = background_of(g.n, communities)
     return DetectionResult(
-        communities=communities,
-        background=background,
+        communities=list(communities),
+        background=background_of(g.n, communities),
         alpha=alpha,
         seed_log=seed_log,
     )
 
 
-def background_of(n: int, communities: Sequence[Iterable[int]]) -> VertexSet:
+def background_of(n: int, communities: Iterable[Iterable[int]]) -> VertexSet:
     """Vertices of ``[0, n)`` that belong to no community."""
     covered = np.zeros(n, dtype=bool)
     for c in communities:

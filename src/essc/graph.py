@@ -99,6 +99,10 @@ class MultiGraph:
         # both orientations of every edge; a loop's two land on one entry
         keys, slot = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
         data = np.bincount(slot, weights=np.concatenate([mult, mult]), minlength=keys.size)
+        # float64 sums of non-negative integers are exact below 2**53 and
+        # round to at least 2**53 above it, so this tests the exact total
+        if data.sum() >= 2**53:
+            raise ValueError("total degree 2|E| must be below 2**53 to be counted exactly")
         rows, cols = np.divmod(keys, n)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         return cls(n, indptr, cols, data.astype(np.int64), labels)
@@ -139,17 +143,6 @@ class MultiGraph:
         if u < 0 or u >= self.n:
             raise ValueError(f"vertex id {u} out of range")
         return self._indices[self._indptr[u]:self._indptr[u + 1]]
-
-    def boundary_count(self, u: int, members: Iterable[int]) -> int:
-        """Edges between `u` and the set, with multiplicity.
-
-        A self-loop at `u` contributes 2 when `u` is itself a member.
-        """
-        if u < 0 or u >= self.n:
-            raise ValueError(f"vertex id {u} out of range")
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        inside = np.isin(self._indices[lo:hi], as_id_array(members, self.n))
-        return int(self._data[lo:hi][inside].sum())
 
     def boundary(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """The vertices with an edge into the set, ascending, and their
@@ -235,8 +228,8 @@ def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
                 mult = int(tokens[2])
             except ValueError:
                 raise EdgeListParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer") from None
-            if mult < 1:
-                raise EdgeListParseError(lineno, f"multiplicity must be >= 1, got {mult}")
+            if not 1 <= mult < 2**53:
+                raise EdgeListParseError(lineno, f"multiplicity must lie in [1, 2**53), got {mult}")
         us.append(id_of.setdefault(tokens[0], len(id_of)))
         # a first-column label cannot start with '#' (the line is a
         # comment), so only a new second-column label needs the check

@@ -11,7 +11,6 @@ loop iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,38 +76,6 @@ def _binomial_survival_batch(k: np.ndarray, p: float, x: np.ndarray) -> np.ndarr
     return out
 
 
-@dataclass(frozen=True)
-class PValueTable:
-    """Connection p-values of every vertex against one candidate set."""
-
-    block_probability: float
-    boundary_counts: np.ndarray
-    pvalues: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pvalues)
-
-
-def pvalue_table(g: MultiGraph, b: Iterable[int]) -> PValueTable:
-    """Tail p-values for all n vertices against the set `b`."""
-    p = block_probability(g, b)
-    counts = g.boundary_counts(b)
-    pv = _binomial_survival_batch(g.degrees, p, counts)
-    return PValueTable(block_probability=p, boundary_counts=counts, pvalues=pv)
-
-
-def connection_pvalue(g: MultiGraph, u: int, b: Iterable[int]) -> float:
-    """P-value for the strength of connection between vertex `u` and set `b`.
-
-    Probability, under the degree-preserving null model, of seeing at
-    least the observed number of edges between `u` and `b`. Vertices of
-    degree 0 return 1.
-    """
-    if u < 0 or u >= g.n:
-        raise ValueError(f"vertex id {u} out of range")
-    return float(pvalue_table(g, b).pvalues[u])
-
-
 def _boundary_law(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The vertices with an edge into the set of distinct ids, ascending,
     their counts into it, and p(B). Every other vertex has p-value 1."""
@@ -119,15 +86,24 @@ def _boundary_law(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vertices, counts, int(counts.sum()) / (2.0 * g.edge_count)
 
 
-def _ranked(g: MultiGraph, b: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices with an edge into `b`, ordered by (p-value, id), and
-    their p-values. Every other vertex has p = 1 and comes after these in
-    the full order."""
-    vertices, counts, p = _boundary_law(g, as_id_array(b, g.n))
-    pvalues = _binomial_survival_batch(g.degrees[vertices], p, counts)
-    # a stable sort keeps the ascending ids in order among equal p-values
-    order = np.argsort(pvalues, kind="stable")
-    return vertices[order], pvalues[order]
+def _scored(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices with an edge into the set of distinct ids, ascending,
+    and their connection p-values against it. Every other vertex has p = 1."""
+    vertices, counts, p = _boundary_law(g, ids)
+    return vertices, _binomial_survival_batch(g.degrees[vertices], p, counts)
+
+
+def pvalue_table(g: MultiGraph, b: Iterable[int]) -> np.ndarray:
+    """Connection p-values of all n vertices against the set `b`.
+
+    Entry u is the probability, under the degree-preserving null model, of
+    seeing at least the observed number of edges between u and `b`; a
+    vertex with no edge into `b` has p = 1.
+    """
+    vertices, pvalues = _scored(g, as_id_array(b, g.n))
+    table = np.ones(g.n)
+    table[vertices] = pvalues
+    return table
 
 
 def _check_alpha(alpha: float) -> None:
@@ -136,11 +112,23 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _bh_cut(sorted_p: np.ndarray, n: int, alpha: float) -> int:
-    """Largest k with p_(k) <= (k / n) * alpha over ascending p-values, or 0."""
-    passing = sorted_p <= alpha * np.arange(1, sorted_p.size + 1) / n
-    hits = np.nonzero(passing)[0]
-    return int(hits[-1]) + 1 if hits.size else 0
+def _bh_keep(pvalues: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """Benjamini-Hochberg at level alpha over m of n p-values: the mask of
+    the entries that pass.
+
+    The cut is the largest k with p_(k) <= (k / n) * alpha over the
+    ascending p-values, and every entry with p <= p_(k) passes. The
+    threshold rounds monotonically in k, so equal p-values pass together,
+    and an entry above alpha * m / n fails at every rank: only the entries
+    at or below it are sorted. A NaN passes at no rank.
+    """
+    if not pvalues.size:
+        return np.zeros(0, dtype=bool)
+    sorted_p = np.sort(pvalues[pvalues <= alpha * pvalues.size / n])
+    hits = np.flatnonzero(sorted_p <= alpha * np.arange(1, sorted_p.size + 1) / n)
+    if not hits.size:
+        return np.zeros(pvalues.size, dtype=bool)
+    return pvalues <= sorted_p[hits[-1]]
 
 
 def select_by_fdr(pvalues: Sequence[float] | np.ndarray, alpha: float) -> frozenset[int]:
@@ -153,8 +141,7 @@ def select_by_fdr(pvalues: Sequence[float] | np.ndarray, alpha: float) -> frozen
     """
     _check_alpha(alpha)
     p = np.asarray(pvalues, dtype=np.float64)
-    order = np.argsort(p, kind="stable")
-    return frozenset(order[:_bh_cut(p[order], p.size, alpha)].tolist())
+    return frozenset(np.flatnonzero(_bh_keep(p, p.size, alpha)).tolist())
 
 
 # Slack, in natural-log units, between the screen's log point mass and
@@ -213,31 +200,19 @@ def _select(g: MultiGraph, ids: np.ndarray, alpha: float) -> np.ndarray:
 
     A vertex with no edge into the set has p = 1 and never passes at
     alpha < 1, so only the K vertices with an edge into it are scored; the
-    BH denominator is still n. Only those with p <= alpha * K / n are
-    ordered and cut, and a vertex whose point mass already exceeds that
+    BH denominator is still n. A vertex above alpha * K / n fails at every
+    rank (see `_bh_keep`), so one whose point mass already exceeds that
     bound is dropped before its tail is computed.
     """
     _check_alpha(alpha)
     vertices, counts, p = _boundary_law(g, ids)
     degrees = g.degrees[vertices]
-    # the cut's threshold alpha * k / n rounds monotonically in k and no
-    # rank past K exists, so a vertex above alpha * K / n fails at every
-    # rank. The vertices left out are a suffix of the (p-value, id) order
-    # that the cut never reaches, and the kept ones are its prefix.
-    cut = alpha * vertices.size / g.n
-    hopeful = _may_pass(degrees, counts, p, cut)
-    vertices, counts, degrees = vertices[hopeful], counts[hopeful], degrees[hopeful]
-    pvalues = _binomial_survival_batch(degrees, p, counts)
-    keep = pvalues <= cut
-    vertices, pvalues = vertices[keep], pvalues[keep]
-    sorted_p = np.sort(pvalues)
-    passed = _bh_cut(sorted_p, g.n, alpha)
-    if passed == 0:
-        return vertices[:0]
-    # a vertex tied with the last one kept would pass at the next rank
-    # too, so the first `passed` in (p-value, id) order are exactly those
-    # with p at most the passed-th smallest p-value
-    return vertices[pvalues <= sorted_p[passed - 1]]
+    # the dropped vertices are a suffix of the (p-value, id) order that the
+    # cut never reaches, so cutting the rest at denominator n is the same
+    hopeful = _may_pass(degrees, counts, p, alpha * vertices.size / g.n)
+    vertices = vertices[hopeful]
+    pvalues = _binomial_survival_batch(degrees[hopeful], p, counts[hopeful])
+    return vertices[_bh_keep(pvalues, g.n, alpha)]
 
 
 def bh_select(g: MultiGraph, b: Iterable[int], alpha: float) -> VertexSet:
@@ -256,7 +231,9 @@ def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k must lie in [0, {g.n}], got {k}")
-    vertices, pvalues = _ranked(g, b)
-    strong = vertices[pvalues < 1.0][:k]
-    rest = np.setdiff1d(np.arange(g.n), strong)[:k - strong.size]
-    return frozenset(strong.tolist() + rest.tolist())
+    vertices, pvalues = _scored(g, as_id_array(b, g.n))
+    strong = pvalues < 1.0
+    # a stable sort keeps the ascending ids in order among equal p-values
+    top = vertices[strong][np.argsort(pvalues[strong], kind="stable")][:k]
+    rest = np.setdiff1d(np.arange(g.n), top)[:k - top.size]
+    return frozenset(top.tolist() + rest.tolist())

@@ -43,6 +43,16 @@ def random_simple_gnp(rng: np.random.Generator, n: int, p: float) -> MultiGraph:
     return MultiGraph.from_pair_arrays(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
 
 
+def boundary_count(g: MultiGraph, u: int, members) -> int:
+    """Edges between `u` and the set, with multiplicity, summed over
+    `edge_classes()`; a self-loop at `u` counts 2 when `u` is a member."""
+    inside = set(members)
+    return sum(
+        m * ((a == u and b in inside) + (b == u and a in inside))
+        for a, b, m in g.edge_classes()
+    )
+
+
 def survival_exact(k: int, p: float, x: int) -> Fraction:
     """P(Bin(k, p) >= x) in exact rational arithmetic (p taken as the
     exact binary64 rational a/d, so every term is an integer over d**k)."""

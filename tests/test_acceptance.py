@@ -207,7 +207,7 @@ def test_c7_fdr_selection_matches_bruteforce():
         size = int(rng.integers(1, n + 1))
         members = {int(v) for v in rng.choice(n, size=size, replace=False)}
         alpha = float(rng.uniform(0.005, 0.95))
-        expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+        expected = bh_bruteforce(pvalue_table(g, members), alpha)
         if bh_select(g, members, alpha) != expected:
             mismatches += 1
     _verdict("7 fdr-oracle", mismatches == 0, f"{mismatches} mismatches in 1000 instances",

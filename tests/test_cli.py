@@ -210,6 +210,21 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", [
+    "a b 99999999999999999999\n",
+    "a b 9007199254740993\n",
+    "a b 2251799813685248\nb c 2251799813685248\n",
+])
+def test_detect_rejects_multiplicities_past_exact_counting(text, tmp_path, capsys):
+    graph = tmp_path / "heavy.txt"
+    graph.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main(["detect", "--input", str(graph), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2**53" in err
+    assert not out.exists()
+
+
 def test_generate_rejects_non_finite_parameters(tmp_path, capsys):
     out = tmp_path / "g.txt"
     code = main([

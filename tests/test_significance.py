@@ -14,11 +14,9 @@ from essc.graph import MultiGraph
 from essc.significance import (
     _binomial_survival_batch,
     _may_pass,
-    _ranked,
     bh_select,
     binomial_survival,
     block_probability,
-    connection_pvalue,
     pvalue_table,
     select_by_fdr,
     select_by_rank,
@@ -115,49 +113,38 @@ def test_binomial_survival_complements_cdf():
 
 def test_connection_pvalue_two_cliques():
     g = two_cliques(10)
-    clique_a = frozenset(range(10))
-    assert connection_pvalue(g, 0, clique_a) == pytest.approx(1 / 512, abs=1e-15)
-    assert connection_pvalue(g, 15, clique_a) == 1.0
+    table = pvalue_table(g, frozenset(range(10)))
+    assert table[0] == pytest.approx(1 / 512, abs=1e-15)
+    assert table[15] == 1.0
 
 
 def test_connection_pvalue_isolated_vertex():
     g = MultiGraph.from_edges(4, [(0, 1), (1, 2)])
-    assert connection_pvalue(g, 3, {0, 1}) == 1.0
-
-
-def test_connection_pvalue_is_the_table_entry():
-    # loops and multi-edges included; the explanation of one vertex must
-    # agree exactly with the p-value the selection step ranks it by
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        n = int(rng.integers(2, 30))
-        g = random_multigraph(rng, n, int(rng.integers(1, 4 * n)))
-        members = {int(v) for v in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
-        table = pvalue_table(g, members).pvalues
-        for u in range(n):
-            assert connection_pvalue(g, u, members) == table[u]
-        vertices, ranked = _ranked(g, members)
-        assert np.array_equal(table[vertices], ranked)
-        assert np.all(np.delete(table, vertices) == 1.0)
+    assert pvalue_table(g, {0, 1})[3] == 1.0
 
 
 def test_edgeless_graph_rejected_everywhere():
     g = MultiGraph.from_edges(3, [])
     with pytest.raises(DegenerateGraphError):
-        connection_pvalue(g, 0, {1})
-    with pytest.raises(DegenerateGraphError):
         pvalue_table(g, {1})
     with pytest.raises(DegenerateGraphError):
         bh_select(g, {1}, 0.05)
+    with pytest.raises(DegenerateGraphError):
+        select_by_rank(g, {1}, 1)
 
 
 def test_pvalue_table_invariants():
     g = two_cliques(6)
-    tbl = pvalue_table(g, frozenset(range(6)))
-    assert 0.0 <= tbl.block_probability <= 1.0
-    assert np.all(tbl.pvalues >= 0.0) and np.all(tbl.pvalues <= 1.0)
-    assert np.all(tbl.pvalues[tbl.boundary_counts == 0] == 1.0)
-    assert len(tbl) == g.n
+    members = frozenset(range(6))
+    tbl = pvalue_table(g, members)
+    counts = g.boundary_counts(members)
+    assert tbl.shape == (g.n,)
+    assert np.all(tbl >= 0.0) and np.all(tbl <= 1.0)
+    assert np.all(tbl[counts == 0] == 1.0)
+    # the tail at each vertex's own count against p(B) = vol(B) / 2|E|
+    p = block_probability(g, members)
+    for u in range(g.n):
+        assert tbl[u] == binomial_survival(g.degree(u), p, int(counts[u]))
 
 
 def test_select_by_fdr_threshold_example():
@@ -178,6 +165,35 @@ def test_select_by_fdr_ties_enter_together():
     # thresholds grow with k, so equal p-values never straddle the cut
     picked = select_by_fdr([0.9, 0.02, 0.02, 0.9], 0.05)
     assert picked == frozenset({1, 2})
+
+
+def test_select_by_fdr_agrees_with_bruteforce_under_ties():
+    # p-values rounded to a coarse grid tie often, including at the cut
+    rng = np.random.default_rng(53)
+    selected = 0
+    for _ in range(2000):
+        m = int(rng.integers(0, 61))
+        decimals = int(rng.integers(1, 4))
+        pvalues = np.round(rng.random(m) ** rng.uniform(1, 8), decimals)
+        alpha = float(rng.uniform(1e-4, 0.999))
+        expected = bh_bruteforce(pvalues, alpha)
+        assert select_by_fdr(pvalues, alpha) == expected
+        assert select_by_fdr(pvalues.tolist(), alpha) == expected
+        selected += bool(expected)
+    assert selected >= 500
+
+
+def test_select_by_fdr_never_selects_nan():
+    rng = np.random.default_rng(59)
+    for _ in range(500):
+        m = int(rng.integers(1, 40))
+        pvalues = np.round(rng.random(m) ** 4, 2)
+        nan = rng.random(m) < 0.3
+        pvalues[nan] = np.nan
+        picked = select_by_fdr(pvalues, float(rng.uniform(0.01, 0.9)))
+        assert not nan[list(picked)].any()
+    assert select_by_fdr([float("nan")] * 3, 0.5) == frozenset()
+    assert select_by_fdr([float("nan"), 0.0], 0.5) == frozenset({1})
 
 
 def test_bh_select_recovers_clique():
@@ -206,8 +222,7 @@ def test_bh_select_invariant_under_relabeling():
         )
         base = bh_select(g, members, 0.07)
         mapped = bh_select(relabeled, {int(perm[v]) for v in members}, 0.07)
-        tbl = pvalue_table(g, members)
-        distinct = len(np.unique(tbl.pvalues)) == g.n
+        distinct = len(np.unique(pvalue_table(g, members))) == g.n
         if distinct:
             assert mapped == frozenset(int(perm[v]) for v in base)
 
@@ -222,7 +237,7 @@ def test_bh_select_agrees_with_bruteforce_scan():
         size = int(rng.integers(1, n))
         members = {int(v) for v in rng.choice(n, size=size, replace=False)}
         alpha = float(rng.uniform(0.01, 0.95))
-        expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+        expected = bh_bruteforce(pvalue_table(g, members), alpha)
         assert bh_select(g, members, alpha) == expected
     # multigraphs with loops, members up to the whole vertex set, so every
     # vertex can have an edge into B (K = n, the widest pre-filter)
@@ -233,7 +248,7 @@ def test_bh_select_agrees_with_bruteforce_scan():
         size = int(rng.integers(1, n + 1))
         members = {int(v) for v in rng.choice(n, size=size, replace=False)}
         alpha = float(rng.uniform(0.01, 0.95))
-        expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+        expected = bh_bruteforce(pvalue_table(g, members), alpha)
         assert bh_select(g, members, alpha) == expected
 
 
@@ -261,7 +276,7 @@ def test_bh_select_agrees_with_bruteforce_scan_around_a_hub():
             {0} | {int(x) for x in rng.choice(n, size=int(rng.integers(1, n)), replace=False)},
         ):
             alpha = float(rng.uniform(0.01, 0.95))
-            expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+            expected = bh_bruteforce(pvalue_table(g, members), alpha)
             assert bh_select(g, members, alpha) == expected
             selected += bool(expected)
     assert selected >= 20
@@ -292,7 +307,7 @@ def test_bh_select_agrees_with_bruteforce_past_the_screened_degrees():
             rest = {int(x) for x in rng.choice(n, size=int(rng.integers(1, n // 2)), replace=False)}
             for members in ({int(heavy[0]), int(heavy[1])} | rest, rest):
                 alpha = float(rng.uniform(0.01, 0.95))
-                expected = bh_bruteforce(pvalue_table(g, members).pvalues, alpha)
+                expected = bh_bruteforce(pvalue_table(g, members), alpha)
                 assert bh_select(g, members, alpha) == expected
                 selected += bool(expected)
         _, peak = tracemalloc.get_traced_memory()
@@ -358,13 +373,27 @@ def test_select_by_rank_orders_by_pvalue_then_id():
         if g.edge_count == 0:
             continue
         members = {int(v) for v in rng.choice(20, size=6, replace=False)}
-        pv = pvalue_table(g, members).pvalues
+        pv = pvalue_table(g, members)
         for k in (0, 1, 6, 20):
             expected = sorted(range(20), key=lambda v: (pv[v], v))[:k]
             assert select_by_rank(g, members, k) == frozenset(expected)
         # the BH cut keeps a prefix of the same order
         selected = bh_select(g, members, 0.2)
         assert select_by_rank(g, members, len(selected)) == selected
+
+
+def test_select_by_rank_is_a_prefix_of_the_table_order():
+    # loops and multi-edges included; every k, members up to the whole
+    # vertex set, so scored vertices at p = 1 tie with unscored ones
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        g = random_multigraph(rng, n, int(rng.integers(1, 4 * n)))
+        members = {int(v) for v in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
+        table = pvalue_table(g, members)
+        order = sorted(range(n), key=lambda v: (table[v], v))
+        for k in range(n + 1):
+            assert select_by_rank(g, members, k) == frozenset(order[:k])
 
 
 def test_select_by_rank_rejects_k_outside_range():
