@@ -39,7 +39,7 @@ from .errors import (
     GenerationError,
     ParameterError,
 )
-from .graph import MultiGraph, VertexSet, as_vertex_set, parse_edge_list, write_edge_list
+from .graph import MultiGraph, VertexSet, parse_edge_list, write_edge_list
 from .metrics import (
     DiscretePMF,
     best_match_score,
@@ -75,7 +75,6 @@ __all__ = [
     "SeedRecord",
     "SummaryStats",
     "VertexSet",
-    "as_vertex_set",
     "background_of",
     "best_match_score",
     "bh_select",

@@ -35,9 +35,13 @@ def as_id_array(members: Iterable[int], n: int) -> np.ndarray:
     return ids
 
 
-def as_vertex_set(members: Iterable[int], n: int) -> VertexSet:
-    """Normalize `members` to a frozenset, validated as by `as_id_array`."""
-    return frozenset(as_id_array(members, n).tolist())
+def _int_array(values, name: str) -> np.ndarray:
+    """`values` as an int64 array; like `as_id_array`, a non-integer array
+    raises TypeError rather than being truncated. An empty one is valid."""
+    a = np.asarray(values)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"{name} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 class MultiGraph:
@@ -84,18 +88,14 @@ class MultiGraph:
     ) -> "MultiGraph":
         """Build from parallel endpoint arrays, accumulating multiplicity."""
         n = int(n)
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise ValueError("endpoint arrays must have equal length")
+        u, v = _int_array(u, "endpoints"), _int_array(v, "endpoints")
+        mult = np.ones(u.size, dtype=np.int64) if mult is None else _int_array(mult, "multiplicities")
+        if not u.shape == v.shape == mult.shape:
+            raise ValueError("endpoint and multiplicity arrays must have equal length")
         if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise ValueError("vertex id out of range")
-        if mult is None:
-            mult = np.ones(u.size, dtype=np.int64)
-        else:
-            mult = np.asarray(mult, dtype=np.int64)
-            if np.any(mult < 1):
-                raise ValueError("multiplicity must be >= 1")
+        if np.any(mult < 1):
+            raise ValueError("multiplicity must be >= 1")
         # both orientations of every edge; a loop's two land on one entry
         keys, slot = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
         data = np.bincount(slot, weights=np.concatenate([mult, mult]), minlength=keys.size)
@@ -117,21 +117,11 @@ class MultiGraph:
         """Build from an iterable of ``(u, v)`` or ``(u, v, multiplicity)``."""
         us, vs, ms = [], [], []
         for e in edges:
-            if len(e) == 2:
-                a, b = e
-                m = 1
-            else:
-                a, b, m = e
+            a, b, m = e if len(e) == 3 else (*e, 1)
             us.append(a)
             vs.append(b)
             ms.append(m)
-        return cls.from_pair_arrays(
-            n,
-            np.asarray(us, dtype=np.int64),
-            np.asarray(vs, dtype=np.int64),
-            np.asarray(ms, dtype=np.int64),
-            labels,
-        )
+        return cls.from_pair_arrays(n, us, vs, ms, labels)
 
     def degree(self, u: int) -> int:
         if u < 0 or u >= self.n:
@@ -144,19 +134,15 @@ class MultiGraph:
             raise ValueError(f"vertex id {u} out of range")
         return self._indices[self._indptr[u]:self._indptr[u + 1]]
 
-    def boundary(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The vertices with an edge into the set, ascending, and their
-        boundary counts, read from the members' adjacency rows alone.
+    def _boundary_of_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices with an edge into a set given as distinct ids in
+        ``[0, n)`` (not checked), ascending, and their boundary counts,
+        read from the members' adjacency rows alone.
 
         The counts are summed into a length-n array and the vertices are
         its nonzero entries. Each member's row sums to its degree, so the
         counts sum to the set's volume.
         """
-        return self._boundary_of_ids(as_id_array(members, self.n))
-
-    def _boundary_of_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`boundary` of a set given as distinct ids in ``[0, n)``, which
-        are not checked."""
         dense = self._boundary_dense(ids)
         # a bool mask scans several times faster than the float array
         vertices = np.flatnonzero(dense > 0)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from . import bench
 from .errors import ParameterError
+from .significance import _binomial_survival_batch, _check_binomial
 
 Cover = tuple[Sequence[Iterable[int]], Iterable[int]]
 
@@ -161,17 +161,26 @@ class DiscretePMF:
         for outcome, m in self.mass.items():
             if outcome < 0:
                 raise ValueError(f"outcome {outcome} is negative")
-            if m < 0:
-                raise ValueError(f"mass of outcome {outcome} is negative")
+            # written so that a NaN mass or total fails
+            if not m >= 0:
+                raise ValueError(f"mass of outcome {outcome} is {m}, not >= 0")
             total += m
-        if self.mass and abs(total - 1.0) > 1e-9:
+        if self.mass and not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"masses sum to {total}, not 1")
 
 
 def binomial_pmf(k: int, p: float) -> DiscretePMF:
-    """Binomial(k, p) as a DiscretePMF over 0..k."""
-    probs = binom.pmf(np.arange(k + 1), k, p)
-    return DiscretePMF({int(i): float(m) for i, m in enumerate(probs)})
+    """Binomial(k, p) as a DiscretePMF over 0..k.
+
+    P(X = x) is taken as P(X >= x) - P(X >= x + 1) from the upper tails
+    behind every detection p-value, so the Monte-Carlo oracle checks that
+    very routine. Rounding could make a difference negative; it is clipped
+    at 0. Raises ValueError unless k >= 0 and 0 <= p <= 1.
+    """
+    _check_binomial(k, p)
+    x = np.arange(k + 2)
+    tails = _binomial_survival_batch(np.full(x.size, k), p, x)
+    return DiscretePMF(dict(enumerate(np.maximum(tails[:-1] - tails[1:], 0.0).tolist())))
 
 
 def tv_distance(p: DiscretePMF, q: DiscretePMF) -> float:

@@ -51,13 +51,19 @@ def binomial_survival(k: int, p: float, x: int) -> float:
     beta function I; naive pmf products underflow once k reaches the
     thousands.
     """
-    if k < 0:
-        raise ValueError("trial count must be >= 0")
+    _check_binomial(k, p)
     if x < 0:
         raise ValueError("threshold count must be >= 0")
+    return float(_binomial_survival_batch(np.array([k]), p, np.array([x]))[0])
+
+
+def _check_binomial(k: int, p: float) -> None:
+    """Reject a Binomial(k, p) law other than k >= 0 and p in [0, 1]."""
+    if k < 0:
+        raise ValueError("trial count must be >= 0")
+    # a NaN fails both comparisons
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    return float(_binomial_survival_batch(np.array([k]), p, np.array([x]))[0])
 
 
 def _binomial_survival_batch(k: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:

@@ -527,7 +527,7 @@ CONTRACT = {
         ["oracle", "--n", "100", "--tau1", "2", "--dbar", "10", "--set-fraction",
          "0.1", "--samples", "500", "--target-degree", "12", "--rng-seed", "7",
          "--report", "{tmp}/r.json"],
-        0, "0.030572390666624205\n",
+        0, "0.030572390666624136\n",
         {
             "command": "oracle",
             "parameters": {
@@ -542,7 +542,7 @@ CONTRACT = {
             "vertex_degree": 12,
             "set_size": 10,
             "block_probability": 0.05422993492407809,
-            "tv_distance": 0.030572390666624205,
+            "tv_distance": 0.030572390666624136,
         },
     ),
     "detect-report-dir-missing": (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from essc.errors import EdgeListParseError
-from essc.graph import MultiGraph, as_vertex_set, parse_edge_list, write_edge_list
+from essc.graph import MultiGraph, as_id_array, parse_edge_list, write_edge_list
 
 from helpers import boundary_count, random_multigraph, triangle
 
@@ -89,6 +89,34 @@ def test_total_degree_past_exact_counting_is_rejected():
     assert g.degrees.tolist() == [half, 2 * half - 1, half - 1]
 
 
+def test_builders_reject_non_integer_input():
+    # a float endpoint or multiplicity raises, as a float id does, rather
+    # than being truncated to the integer below it
+    with pytest.raises(TypeError):
+        MultiGraph.from_pair_arrays(3, [0.7], [1.2])
+    with pytest.raises(TypeError):
+        MultiGraph.from_pair_arrays(3, [0], [1.0])
+    with pytest.raises(TypeError):
+        MultiGraph.from_pair_arrays(3, [0], [1], [2.0])
+    with pytest.raises(TypeError):
+        MultiGraph.from_edges(3, [(0, 1, 2.9)])
+    with pytest.raises(TypeError):
+        MultiGraph.from_edges(3, [(0, 1), (1.0, 2)])
+    # empty input stays valid, though np.asarray([]) is float64
+    assert MultiGraph.from_pair_arrays(3, [], [], []).edge_count == 0
+    assert MultiGraph.from_edges(3, []).edge_count == 0
+    g = MultiGraph.from_pair_arrays(3, np.array([0], dtype=np.int32), np.array([2], dtype=np.uint8), [3])
+    assert g.edge_count == 3
+
+
+def test_builders_check_the_multiplicity_length():
+    for mult in ([1], [], [1, 1, 1]):
+        with pytest.raises(ValueError, match="equal length"):
+            MultiGraph.from_pair_arrays(3, [0, 1], [1, 2], mult)
+    with pytest.raises(ValueError, match="equal length"):
+        MultiGraph.from_pair_arrays(3, [0, 1], [1])
+
+
 def test_label_starting_with_comment_mark_is_rejected():
     # a first-column '#b' would make the line a comment, so '#b' cannot
     # round-trip through write_edge_list
@@ -138,14 +166,12 @@ def test_out_of_range_ids_rejected():
     with pytest.raises(ValueError):
         g.volume({5})
     with pytest.raises(ValueError):
-        as_vertex_set({-1}, 3)
+        as_id_array({-1}, 3)
     # a float id is refused, not truncated to the vertex below it
     with pytest.raises(TypeError):
-        as_vertex_set([2.7], 3)
+        as_id_array([2.7], 3)
     with pytest.raises(TypeError):
         g.volume([2.7])
-    with pytest.raises(TypeError):
-        g.boundary([1.5])
     with pytest.raises(TypeError):
         g.boundary_counts([2.5])
 
@@ -175,7 +201,7 @@ def test_boundary_counts_matches_scalar_on_subsets():
                 assert counts[u] == boundary_count(g, u, subset)
             # the selection step relies on these: ascending vertices, only
             # positive counts, and counts that sum to vol(B) with loops
-            vertices, local = g.boundary(subset)
+            vertices, local = g._boundary_of_ids(as_id_array(subset, n))
             assert np.all(np.diff(vertices) > 0)
             assert np.all(local > 0)
             assert np.array_equal(local, counts[vertices])

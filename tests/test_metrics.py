@@ -205,14 +205,35 @@ def test_discrete_pmf_validation():
         DiscretePMF({-1: 1.0})
     with pytest.raises(ValueError):
         DiscretePMF({0: 1.2, 1: -0.2})
+    # NaN compares False both ways, so each check must be written to fail
+    # it; the error names the outcome, not only the NaN total
+    with pytest.raises(ValueError, match="outcome 0"):
+        DiscretePMF({0: math.nan})
+    with pytest.raises(ValueError, match="outcome 1"):
+        DiscretePMF({0: 1.0, 1: math.nan})
 
 
 def test_binomial_pmf_matches_exact():
-    pmf = binomial_pmf(6, 0.3)
-    assert sum(pmf.mass.values()) == pytest.approx(1.0, abs=1e-9)
-    for x in range(7):
-        exact = float(survival_exact(6, 0.3, x) - survival_exact(6, 0.3, x + 1))
-        assert pmf.mass[x] == pytest.approx(exact, abs=1e-12)
+    for k in range(41):
+        for p in (0.0, 0.001, 0.1, 0.3, 0.5, 0.77, 0.999, 1.0):
+            pmf = binomial_pmf(k, p)
+            assert list(pmf.mass) == list(range(k + 1))
+            for x in range(k + 1):
+                exact = float(survival_exact(k, p, x) - survival_exact(k, p, x + 1))
+                assert abs(pmf.mass[x] - exact) <= 1e-12, (k, p, x)
+
+
+def test_binomial_pmf_sums_to_one_at_large_k():
+    # a pmf built as exp of a log-gamma log-pmf drifts past DiscretePMF's
+    # 1e-9 check near k = 1e6; differences of the tails telescope
+    for p in (0.01, 0.37, 0.5, 0.93):
+        assert abs(math.fsum(binomial_pmf(10**5, p).mass.values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("k, p", [(5, 1.5), (5, -0.1), (5, math.nan), (-1, 0.5)])
+def test_binomial_pmf_rejects_laws_it_cannot_score(k, p):
+    with pytest.raises(ValueError):
+        binomial_pmf(k, p)
 
 
 def test_empirical_boundary_forced_edge():
