@@ -217,6 +217,17 @@ _GOLDEN = [
      "342327115b24f3541a9fca7725f95f00cc0a479da60875460ba058f7b751fecf",
      "abb19164fe1faaca28ff139928578ca5829fe2a626da8246d4fa3d14d84872ca",
      "50a22493455bc0e19b6b4dfcc8b4aef00f2532be1c9eb4e35d0a073a812d155b"),
+    # one fixed point that is accepted but covers nothing new (so forced),
+    # 8 forced cycles, and a fallback rejected at a fixed point
+    (BenchmarkSpec(kind="lfr", mu=0.6, rho=0.0, **{**_LFR, "rng_seed": 0}), "max_degree",
+     "24ced784399666b673e91118963389cd5e0a5267a403d47763caa5613c7c3e97",
+     "e7d67d7b0927aa4e733dd9c8012af9d6ae05f1ca7edc922130dee8afe682dcf3",
+     "9855598f956c104f5f7bea9f35ea6182125b6754c5ba319bdde1f1451f516757"),
+    # 57 forced cycles and a fallback that ends in a cycle
+    (BenchmarkSpec(kind="lfr", mu=0.6, rho=0.0, **{**_LFR, "rng_seed": 4}), "max_degree",
+     "8cf41c27a1f16a68c286bd00da8734aa40040dc7d04ff2ce41fa9b96b633b62b",
+     "e12f696665232170ef3152ea413ffa48714b4c02b85438b785e89b37ab04bc5f",
+     "686a1cbaaba39e43c2f512980264497412756c804eb74c715999e111fe48252c"),
 ]
 
 
