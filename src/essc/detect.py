@@ -144,34 +144,8 @@ def community_search(
     return SearchOutcome(frozenset(current.tolist()), MAX_ITER, TERM_ITERATION_CAP, trace)
 
 
-def _max_degree_anchor(g: MultiGraph, uncovered_mask: np.ndarray) -> int:
-    # ties break toward the smallest id (argmax returns first occurrence)
-    masked = np.where(uncovered_mask, g.degrees, -1)
-    return int(np.argmax(masked))
-
-
 def _closed_neighborhood(g: MultiGraph, u: int) -> VertexSet:
     return frozenset(g.neighbors(u).tolist()) | {u}
-
-
-def _record(
-    anchor: int,
-    seed: VertexSet,
-    outcome: SearchOutcome,
-    accepted: bool,
-    forced_progress: bool = False,
-    fallback: bool = False,
-) -> SeedRecord:
-    return SeedRecord(
-        anchor=anchor,
-        seed_size=len(seed),
-        termination=outcome.termination,
-        iterations=outcome.iterations,
-        community_size=len(outcome.community),
-        accepted=accepted,
-        forced_progress=forced_progress,
-        fallback=fallback,
-    )
 
 
 def essc(
@@ -185,13 +159,14 @@ def essc(
     closed neighborhood B0 of the highest-degree vertex not yet inside a
     detected community. A search that comes back empty is retried once
     from the |B0| vertices with the smallest p-values against B0 (ties to
-    the smaller id); the retry counts only if it reaches a non-empty fixed
-    point that is not yet detected and holds an uncovered vertex, and its
-    seed-log record is marked ``fallback``. The loop stops at the first
-    search whose fallback also yields nothing new (or when every vertex
-    is covered). With ``all_neighborhoods``, one search runs
-    from every vertex's closed neighborhood and the distinct non-empty
-    fixed points are kept. Duplicate communities are dropped; overlap
+    the smaller id); the retry counts only if it reaches a fixed point
+    that holds an uncovered vertex, and its seed-log record is marked
+    ``fallback``. A first search that ends other than empty and covers no
+    new vertex retires its anchor (``forced_progress``). The loop stops at
+    the first search whose fallback also yields nothing new, or when every
+    vertex is covered or retired. With ``all_neighborhoods``, one search
+    runs from every vertex's closed neighborhood and the distinct fixed
+    points are kept. Duplicate communities are dropped; overlap
     between distinct communities is preserved as-is.
     """
     _check_alpha(alpha)
@@ -206,59 +181,50 @@ def essc(
 
     if seed_strategy == SEED_MAX_DEGREE:
         uncovered = np.ones(g.n, dtype=bool)
-        while uncovered.any():
-            anchor = _max_degree_anchor(g, uncovered)
-            seed = _closed_neighborhood(g, anchor)
+
+        def search(anchor: int, seed: VertexSet, fallback: bool) -> SeedRecord:
             outcome = community_search(g, seed, alpha)
-            accepted = outcome.termination == TERM_FIXED_POINT and bool(outcome.community)
-            forced = False
+            members = list(outcome.community)
+            fresh = bool(uncovered[members].any())
+            # a first search keeps any fixed point; a retry only one with an
+            # uncovered member (so a new one: every kept community is
+            # covered), since a known one would retire just the anchor and
+            # extraction would then run on through every remaining vertex
+            accepted = outcome.termination == TERM_FIXED_POINT and (fresh or not fallback)
             if accepted:
                 communities.setdefault(outcome.community)
-                removed = [v for v in outcome.community if uncovered[v]]
-                uncovered[list(outcome.community)] = False
-                if not removed:
-                    # a fixed point disjoint from the uncovered set would
-                    # reselect the same anchor forever; retire the anchor
-                    # so the loop always makes progress
-                    uncovered[anchor] = False
-                    forced = True
-            elif outcome.termination != TERM_EMPTY:
-                # a cycling or capped search yields no community, but only an
-                # empty search (and its retry) may end extraction; retire
-                # the anchor and keep extracting
+                uncovered[members] = False
+            # only an empty search and its retry may end extraction; a first
+            # search that covers nothing new retires its anchor, which would
+            # otherwise be reselected forever
+            forced = not fallback and outcome.termination != TERM_EMPTY and not (accepted and fresh)
+            if forced:
                 uncovered[anchor] = False
-                forced = True
-            seed_log.append(_record(anchor, seed, outcome, accepted, forced))
-            if outcome.termination != TERM_EMPTY:
+            record = SeedRecord(anchor, len(seed), outcome.termination, outcome.iterations,
+                                len(members), accepted, forced, fallback)
+            seed_log.append(record)
+            return record
+
+        while uncovered.any():
+            # ties break toward the smallest id (argmax returns the first)
+            anchor = int(np.argmax(np.where(uncovered, g.degrees, -1)))
+            seed = _closed_neighborhood(g, anchor)
+            if search(anchor, seed, fallback=False).termination != TERM_EMPTY:
                 continue
             # the anchor's neighborhood can dilute a block the anchor lies
             # in so far that the first step keeps too few members to hold
-            # on; retry once from the vertices that rank highest against it.
-            # Only a new community with an uncovered member counts: one
-            # already known would retire just the anchor, and extraction
-            # would then run on through every remaining vertex
-            retry_seed = select_by_rank(g, seed, len(seed))
-            retry = community_search(g, retry_seed, alpha)
-            found = retry.community
-            accepted = (
-                retry.termination == TERM_FIXED_POINT
-                and bool(found)
-                and found not in communities
-                and bool(uncovered[list(found)].any())
-            )
-            seed_log.append(_record(anchor, retry_seed, retry, accepted, fallback=True))
-            if not accepted:
+            # on; retry once from the vertices that rank highest against it
+            if not search(anchor, select_by_rank(g, seed, len(seed)), fallback=True).accepted:
                 break
-            communities[found] = None
-            uncovered[list(found)] = False
     else:
         for u in range(g.n):
             seed = _closed_neighborhood(g, u)
             outcome = community_search(g, seed, alpha)
-            accepted = outcome.termination == TERM_FIXED_POINT and bool(outcome.community)
+            accepted = outcome.termination == TERM_FIXED_POINT
             if accepted:
                 communities.setdefault(outcome.community)
-            seed_log.append(_record(u, seed, outcome, accepted))
+            seed_log.append(SeedRecord(u, len(seed), outcome.termination, outcome.iterations,
+                                       len(outcome.community), accepted))
 
     return DetectionResult(
         communities=list(communities),
