@@ -20,13 +20,14 @@ consumes a single RNG stream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import GenerationError, ParameterError
-from .graph import MultiGraph, VertexSet
+from .graph import MultiGraph, VertexSet, _int_array
 
 KINDS = ("er", "config", "sbm_single", "lfr", "lfr_bg")
 
@@ -195,31 +196,38 @@ def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, Gro
     return g, GroundTruth(communities=[], background=frozenset(range(n)))
 
 
+def _degree_sequence(degrees) -> np.ndarray:
+    """`degrees` as an int64 array, checked as a degree sequence: integers
+    (a float raises TypeError), none negative, with an even sum."""
+    degrees = _int_array(degrees, "degrees")
+    if degrees.size and degrees.min() < 0:
+        raise ParameterError("degrees must be >= 0")
+    if int(degrees.sum()) % 2 != 0:
+        raise ParameterError("degree sum must be even")
+    return degrees
+
+
 def pair_stubs(degrees: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform stub pairing: the sampling core of `gen_configuration`.
 
     Returns endpoint arrays of the matched edges; self-loops and
-    multi-edges are kept. An odd degree sum raises ParameterError.
+    multi-edges are kept. A negative degree or an odd degree sum raises
+    ParameterError.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = _degree_sequence(degrees)
     return _pair_up(np.repeat(np.arange(len(degrees), dtype=np.int64), degrees), rng)
 
 
 def _pair_up(owners: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform perfect matching of stubs, given as the owner of each stub."""
-    if owners.size % 2 != 0:
-        raise ParameterError("degree sum must be even")
+    """Uniform perfect matching of an even number of stubs, given as the
+    owner of each stub."""
     perm = rng.permutation(owners)
     return perm[0::2], perm[1::2]
 
 
 def gen_configuration(degrees: Sequence[int] | np.ndarray, rng_seed=None) -> MultiGraph:
     """Uniform random multigraph with exactly the given degree sequence."""
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if degrees.size and degrees.min() < 0:
-        raise ParameterError("degrees must be >= 0")
-    rng = _rng(rng_seed)
-    a, b = pair_stubs(degrees, rng)
+    a, b = pair_stubs(degrees, _rng(rng_seed))
     return MultiGraph.from_pair_arrays(len(degrees), a, b)
 
 
@@ -255,7 +263,7 @@ def sample_powerlaw_degrees(
     if d_max is None:
         d_max = min(n - 1, int(round(10 * dbar)))
     else:
-        d_max = min(n - 1, int(d_max))
+        d_max = min(n - 1, operator.index(d_max))
     if d_max < 1:
         raise ParameterError(f"no feasible degree support for n={n}, dbar={dbar}")
     support, means = _powerlaw_mean_table(tau, d_max)
@@ -500,7 +508,7 @@ def _lfr_edges(spec: BenchmarkSpec, rng) -> tuple[np.ndarray, np.ndarray, list[n
     return np.concatenate(us), np.concatenate(vs), members
 
 
-def gen_lfr(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
+def gen_lfr(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
     """Power-law benchmark graph with planted communities.
 
     Construction: sample degrees (exponent tau1, mean dbar) and community
@@ -514,7 +522,7 @@ def gen_lfr(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth
     spec.validate()
     if spec.kind != "lfr":
         raise ParameterError(f"expected an lfr spec, got kind {spec.kind!r}")
-    rng = _rng(rng_seed if rng_seed is not None else spec.rng_seed)
+    rng = _rng(spec.rng_seed)
     us, vs, members = _lfr_edges(spec, rng)
     g = MultiGraph.from_pair_arrays(spec.n, us, vs)
     return g, GroundTruth(
@@ -522,7 +530,7 @@ def gen_lfr(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth
     )
 
 
-def gen_lfr_background(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
+def gen_lfr_background(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
     """Planted communities on a pi-fraction of vertices, background elsewhere.
 
     Community-block vertices are wired by the ``lfr`` construction with
@@ -533,7 +541,7 @@ def gen_lfr_background(spec: BenchmarkSpec, rng_seed=None) -> tuple[MultiGraph, 
     spec.validate()
     if spec.kind != "lfr_bg":
         raise ParameterError(f"expected an lfr_bg spec, got kind {spec.kind!r}")
-    rng = _rng(rng_seed if rng_seed is not None else spec.rng_seed)
+    rng = _rng(spec.rng_seed)
     n = spec.n
     p2 = spec.dbar / n if n else 0.0
     if p2 > 1.0:

@@ -127,17 +127,13 @@ def _tokens_to_cover(
 def _evaluate(metric: str, pred_path: str, truth_path: str) -> float:
     raw_pred = read_communities(Path(pred_path).read_text())
     raw_truth = read_communities(Path(truth_path).read_text())
-    tokens = set()
+    # match vertices by label, with ids in first-seen order: every score
+    # is invariant under relabeling
+    key: dict[str, int] = {}
     for raw in (raw_pred, raw_truth):
-        for line in raw[0]:
-            tokens.update(line)
-        tokens.update(raw[1])
-    # match vertices by label; sort numerically when every label is an integer
-    try:
-        ordered = sorted(tokens, key=int)
-    except ValueError:
-        ordered = sorted(tokens)
-    key = {t: i for i, t in enumerate(ordered)}
+        for line in [*raw[0], raw[1]]:
+            for t in line:
+                key.setdefault(t, len(key))
     pred = _tokens_to_cover(raw_pred, key)
     truth = _tokens_to_cover(raw_truth, key)
 

@@ -186,7 +186,7 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edge_count})"
 
 
-def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
+def parse_edge_list(text: str) -> MultiGraph:
     """Parse an edge list with one edge per line.
 
     Each non-comment line holds two whitespace-separated vertex labels and
@@ -196,13 +196,12 @@ def parse_edge_list(text: str | Iterable[str]) -> MultiGraph:
     skipped, so no label may start with '#': such a label in the second
     column raises EdgeListParseError.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     id_of: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
     ms: list[int] = []
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue

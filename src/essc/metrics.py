@@ -9,13 +9,14 @@ boundary-count law under the degree-preserving null model.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import bench
-from .errors import ParameterError
+from .graph import as_id_array
 from .significance import _binomial_survival_batch, _check_binomial
 
 Cover = tuple[Sequence[Iterable[int]], Iterable[int]]
@@ -88,8 +89,8 @@ def _h(count: int, n: int) -> float:
 
 def _cover_sets(cover: Cover) -> list[frozenset[int]]:
     communities, background = cover
-    out = [frozenset(int(v) for v in c) for c in communities]
-    bg = frozenset(int(v) for v in background)
+    out = [frozenset(map(operator.index, c)) for c in communities]
+    bg = frozenset(map(operator.index, background))
     if bg:
         out.append(bg)
     return out
@@ -209,20 +210,14 @@ def empirical_boundary_distribution(
     step per round. This is the simulation oracle against which the
     binomial tail approximation is checked.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = bench._degree_sequence(degrees)
     n = len(degrees)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if degrees.size and degrees.min() < 0:
-        raise ParameterError("degrees must be >= 0")
-    if int(degrees.sum()) % 2 != 0:
-        raise ParameterError("degree sum must be even")
+    u = operator.index(u)
     if u < 0 or u >= n:
         raise ValueError(f"vertex id {u} out of range")
-    members = np.fromiter(b, dtype=np.int64)
-    bad = members[(members < 0) | (members >= n)]
-    if bad.size:
-        raise ValueError(f"vertex id {bad[0]} out of range")
+    members = as_id_array(b, n)
     in_b = np.zeros(n, dtype=bool)
     in_b[members] = True
     loop_gain = 2 if in_b[u] else 0

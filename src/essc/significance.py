@@ -11,6 +11,7 @@ loop iterates.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,14 +53,15 @@ def binomial_survival(k: int, p: float, x: int) -> float:
     thousands.
     """
     _check_binomial(k, p)
-    if x < 0:
+    if operator.index(x) < 0:
         raise ValueError("threshold count must be >= 0")
     return float(_binomial_survival_batch(np.array([k]), p, np.array([x]))[0])
 
 
 def _check_binomial(k: int, p: float) -> None:
-    """Reject a Binomial(k, p) law other than k >= 0 and p in [0, 1]."""
-    if k < 0:
+    """Reject a Binomial(k, p) law other than an integer k >= 0 and p in
+    [0, 1]; a float k raises TypeError rather than being truncated."""
+    if operator.index(k) < 0:
         raise ValueError("trial count must be >= 0")
     # a NaN fails both comparisons
     if not 0.0 <= p <= 1.0:

@@ -1,5 +1,6 @@
 """Benchmark generators: parameters, structure, and reproducibility."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -170,6 +171,28 @@ def test_configuration_preserves_degrees():
         gen_configuration([1, 1, 1], 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # truncation would wire the degrees [1, 1, 0] and [1, 1], and cap
+        # the degrees at 5
+        lambda: gen_configuration([1.9, 1.9, 0.5], 1),
+        lambda: pair_stubs([1.5, 1.5], np.random.default_rng(1)),
+        lambda: sample_powerlaw_degrees(10, 2.0, 3.0, 1, d_max=5.7),
+    ],
+)
+def test_degree_input_must_be_integers(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_pair_stubs_checks_the_degree_sequence():
+    rng = np.random.default_rng(1)
+    for degrees in ([2, -1, 1], [1, 1, 1]):
+        with pytest.raises(ParameterError):
+            pair_stubs(degrees, rng)
+
+
 def test_pair_stubs_matches_graph_counts():
     degrees = sample_powerlaw_degrees(50, 2.0, 6, 1)
     rng1 = np.random.default_rng(77)
@@ -294,7 +317,7 @@ def test_lfr_realizes_mixing_parameter():
 
 def test_lfr_sizes_within_range():
     for seed in (11, 12, 13):
-        g, truth = gen_lfr(_LFR, seed)
+        g, truth = gen_lfr(dataclasses.replace(_LFR, rng_seed=seed))
         for c in truth.communities:
             assert _LFR.s1 * 0.9 <= len(c) <= _LFR.s2 * 1.1
 

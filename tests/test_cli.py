@@ -1,9 +1,14 @@
 """End-to-end command-line runs against temporary files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import essc
 from essc.cli import main, sweep_alpha
 from essc.detect import read_communities
 from essc.graph import parse_edge_list, write_edge_list
@@ -36,6 +41,23 @@ def test_detect_writes_communities_and_report(clique_file, tmp_path, capsys):
     assert report["summary"]["background_proportion"] == 0.0
     assert report["seed_log"]
     assert "communities: 2" in capsys.readouterr().out
+
+
+def test_module_entry_point_exits_with_main_status(clique_file, tmp_path):
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "essc", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(essc.__file__).parent.parent)},
+        )
+
+    out = str(tmp_path / "comms.txt")
+    done = run("detect", "--input", str(clique_file), "--output", out)
+    assert done.returncode == 0
+    assert "communities: 2" in done.stdout
+    # argparse rejects a missing required option with status 2
+    missing = run("detect", "--output", out)
+    assert missing.returncode == 2
+    assert "--input" in missing.stderr
 
 
 def test_detect_accepts_strategy_and_simplify(clique_file, tmp_path):

@@ -175,6 +175,12 @@ def test_gnmi_rejects_mismatched_universes():
         gnmi_cover(([{0, 2}], set()), ([{0, 2}], set()))  # ids not dense
 
 
+def test_gnmi_rejects_non_integer_ids():
+    # truncation would read 1.5 as 1 and score 1.0
+    with pytest.raises(TypeError):
+        gnmi_cover(([[0, 1.5]], [2]), ([[0, 1]], [2]))
+
+
 def test_tv_distance_examples():
     p = DiscretePMF({0: 0.5, 1: 0.5})
     assert tv_distance(p, p) == 0.0
@@ -236,6 +242,11 @@ def test_binomial_pmf_rejects_laws_it_cannot_score(k, p):
         binomial_pmf(k, p)
 
 
+def test_binomial_pmf_rejects_a_non_integer_trial_count():
+    with pytest.raises(TypeError):
+        binomial_pmf(2.5, 0.5)
+
+
 def test_empirical_boundary_forced_edge():
     pmf = empirical_boundary_distribution([1, 1], 0, [1], 200, 1)
     assert pmf.mass == {1: 1.0}
@@ -263,6 +274,16 @@ def test_empirical_boundary_validation():
     for member in (-1, 3):
         with pytest.raises(ValueError, match="out of range"):
             empirical_boundary_distribution([1, 1, 2], 0, [1, member], 10, 1)
+
+
+@pytest.mark.parametrize(
+    "degrees, u, b",
+    [([1.9, 1.9, 0.5], 0, [1]), ([1, 1, 2], 0, [1.5]), ([1, 1, 2], 0.5, [1])],
+)
+def test_empirical_boundary_rejects_non_integer_input(degrees, u, b):
+    # truncation would sample the degrees [1, 1, 0] or the member 1
+    with pytest.raises(TypeError):
+        empirical_boundary_distribution(degrees, u, b, 10, 1)
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,13 @@ def test_binomial_survival_domain_errors():
         binomial_survival(5, 0.5, -2)
 
 
+@pytest.mark.parametrize("k, x", [(2.5, 1), (5, 2.5)])
+def test_binomial_survival_rejects_non_integer_counts(k, x):
+    # truncation would score k = 2 or x = 2 instead
+    with pytest.raises(TypeError):
+        binomial_survival(k, 0.5, x)
+
+
 _P_GRID = [0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999]
 
 
