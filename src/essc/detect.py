@@ -194,9 +194,9 @@ def essc(
             if accepted:
                 communities.setdefault(outcome.community)
                 uncovered[members] = False
-            # only an empty search and its retry may end extraction; a first
-            # search that covers nothing new retires its anchor, which would
-            # otherwise be reselected forever
+            # only an empty search and its retry may end extraction; any other
+            # first search that covers nothing new retires its anchor, which
+            # would otherwise be reselected forever
             forced = not fallback and outcome.termination != TERM_EMPTY and not (accepted and fresh)
             if forced:
                 uncovered[anchor] = False
