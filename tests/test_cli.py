@@ -205,13 +205,36 @@ def test_oracle_prints_tv_distance(tmp_path, capsys):
     assert payload["set_size"] == 10
 
 
-def test_usage_errors_exit_two(clique_file):
+LFR_ARGS = ["--n", "100", "--dbar", "8", "--tau1", "2", "--tau2", "1", "--mu", "0.2",
+            "--smin", "10"]
+
+
+def test_usage_errors_exit_two(clique_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["detect", "--input", str(clique_file), "--bogus-flag"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+    out = clique_file.parent / "g.txt"
+    for argv, message in (
+        (["sbm-single", "--n", "40", "--pi", "0.3", "--kappa", "5", "--theta", "0.1",
+          "--dbar", "6"],
+         "essc generate sbm-single: error: argument --dbar: not allowed with argument "
+         "--theta"),
+        (["lfr", *LFR_ARGS],
+         "essc generate lfr: error: the following arguments are required: --smax"),
+        (["er", "--n", "30", "--dbar", "4", "--smin", "3"],
+         "essc: error: unrecognized arguments: --smin 3"),
+        (["lfr-bg", *LFR_ARGS, "--smax", "30", "--pi", "0.5", "--rho", "0.1"],
+         "essc: error: unrecognized arguments: --rho 0.1"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["generate", *argv, "--out", str(out), "--truth", str(out) + ".truth"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not out.exists()
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):
@@ -446,6 +469,125 @@ CONTRACT = {
             "edge_count": 336,
             "mean_degree": 6.72,
             "planted_communities": 6,
+        },
+    ),
+    "generate-config": (
+        ["generate", "config", "--n", "30", "--dbar", "4", "--tau1", "2", "--rng-seed",
+         "1", "--out", "{tmp}/e.txt", "--report", "{tmp}/r.json"],
+        0, "wrote {tmp}/e.txt: n=30 edges=83 communities=0\n",
+        {
+            "command": "generate config",
+            "parameters": {
+                "dbar": 4.0,
+                "tau1": 2.0,
+                "n": 30,
+                "rng_seed": 1,
+                "out": "{tmp}/e.txt",
+                "truth": None,
+            },
+            "n": 30,
+            "edge_count": 83,
+            "mean_degree": 5.533333333333333,
+            "planted_communities": 0,
+        },
+    ),
+    "generate-sbm-single-dbar": (
+        ["generate", "sbm-single", "--n", "40", "--pi", "0.3", "--kappa", "5", "--dbar",
+         "6", "--rng-seed", "3", "--out", "{tmp}/s.txt", "--truth", "{tmp}/t.txt",
+         "--report", "{tmp}/r.json"],
+        0, "wrote {tmp}/s.txt: n=40 edges=130 communities=1\n",
+        {
+            "command": "generate sbm-single",
+            "parameters": {
+                "pi": 0.3,
+                "kappa": 5.0,
+                "theta": None,
+                "dbar": 6.0,
+                "n": 40,
+                "rng_seed": 3,
+                "out": "{tmp}/s.txt",
+                "truth": "{tmp}/t.txt",
+            },
+            "n": 40,
+            "edge_count": 130,
+            "mean_degree": 6.5,
+            "planted_communities": 1,
+        },
+    ),
+    "generate-sbm-single-theta": (
+        ["generate", "sbm-single", "--n", "40", "--pi", "0.3", "--kappa", "5", "--theta",
+         "0.1", "--rng-seed", "3", "--out", "{tmp}/s.txt", "--truth", "{tmp}/t.txt",
+         "--report", "{tmp}/r.json"],
+        0, "wrote {tmp}/s.txt: n=40 edges=117 communities=1\n",
+        {
+            "command": "generate sbm-single",
+            "parameters": {
+                "pi": 0.3,
+                "kappa": 5.0,
+                "theta": 0.1,
+                "dbar": None,
+                "n": 40,
+                "rng_seed": 3,
+                "out": "{tmp}/s.txt",
+                "truth": "{tmp}/t.txt",
+            },
+            "n": 40,
+            "edge_count": 117,
+            "mean_degree": 5.85,
+            "planted_communities": 1,
+        },
+    ),
+    "generate-lfr-no-rho": (
+        ["generate", "lfr", "--n", "100", "--dbar", "8", "--tau1", "2", "--tau2", "1",
+         "--mu", "0.2", "--smin", "10", "--smax", "30", "--rng-seed", "2", "--out",
+         "{tmp}/l.txt", "--truth", "{tmp}/t.txt", "--report", "{tmp}/r.json"],
+        0, "wrote {tmp}/l.txt: n=100 edges=336 communities=6\n",
+        {
+            "command": "generate lfr",
+            "parameters": {
+                "dbar": 8.0,
+                "tau1": 2.0,
+                "tau2": 1.0,
+                "mu": 0.2,
+                "smin": 10,
+                "smax": 30,
+                "rho": 0.0,
+                "n": 100,
+                "rng_seed": 2,
+                "out": "{tmp}/l.txt",
+                "truth": "{tmp}/t.txt",
+            },
+            "n": 100,
+            "edge_count": 336,
+            "mean_degree": 6.72,
+            "planted_communities": 6,
+        },
+    ),
+    "generate-lfr-bg": (
+        ["generate", "lfr-bg", "--n", "200", "--pi", "0.5", "--dbar", "8", "--tau1", "2",
+         "--tau2", "1", "--mu", "0.2", "--smin", "10", "--smax", "30", "--rng-seed",
+         "4", "--out", "{tmp}/b.txt", "--truth", "{tmp}/t.txt", "--report",
+         "{tmp}/r.json"],
+        0, "wrote {tmp}/b.txt: n=200 edges=916 communities=4\n",
+        {
+            "command": "generate lfr-bg",
+            "parameters": {
+                "dbar": 8.0,
+                "tau1": 2.0,
+                "tau2": 1.0,
+                "mu": 0.2,
+                "smin": 10,
+                "smax": 30,
+                "pi": 0.5,
+                "n": 200,
+                "rng_seed": 4,
+                "out": "{tmp}/b.txt",
+                "truth": "{tmp}/t.txt",
+            },
+            "n": 200,
+            "edge_count": 916,
+            "mean_degree": 9.16,
+            "planted_communities": 4,
         },
     ),
     "eval-gnmi": (
