@@ -29,7 +29,15 @@ import numpy as np
 from .errors import GenerationError, ParameterError
 from .graph import MultiGraph, VertexSet, _int_array
 
-KINDS = ("er", "config", "sbm_single", "lfr", "lfr_bg")
+# the fields each benchmark kind requires besides n; a spec leaves every
+# other field but rng_seed unset
+FIELDS = {
+    "er": ("dbar",),
+    "config": ("dbar", "tau1"),
+    "sbm_single": ("pi", "kappa", "theta"),
+    "lfr": ("dbar", "tau1", "tau2", "mu", "s1", "s2", "rho"),
+    "lfr_bg": ("dbar", "tau1", "tau2", "mu", "s1", "s2", "pi"),
+}
 
 _REWIRE_PASSES = 100
 _SELF_PAIR_PASSES = 20
@@ -41,8 +49,9 @@ _SKIP_BLOCK = 1 << 16  # most skips drawn at once, to bound the block's memory
 class BenchmarkSpec:
     """Parameter bundle for one benchmark family.
 
-    Fields must be present exactly when relevant to `kind`; `validate`
-    enforces that.
+    Fields must be set exactly when `FIELDS` lists them for `kind`, and
+    `n`, `s1` and `s2` must be integers (a float raises TypeError);
+    `validate` enforces that.
     """
 
     kind: str
@@ -60,23 +69,16 @@ class BenchmarkSpec:
     rng_seed: int | None = None
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in FIELDS:
             raise ParameterError(f"unknown benchmark kind {self.kind!r}")
-        if self.n < 0:
+        if operator.index(self.n) < 0:
             raise ParameterError("n must be >= 0")
-        required = {
-            "er": ("dbar",),
-            "config": ("dbar", "tau1"),
-            "sbm_single": ("pi", "kappa", "theta"),
-            "lfr": ("dbar", "tau1", "tau2", "mu", "s1", "s2", "rho"),
-            "lfr_bg": ("dbar", "tau1", "tau2", "mu", "s1", "s2", "pi"),
-        }[self.kind]
-        optional = ("rng_seed",)
+        required = FIELDS[self.kind]
         for name in ("dbar", "tau1", "tau2", "mu", "s1", "s2", "rho", "pi", "kappa", "theta"):
             value = getattr(self, name)
             if name in required and value is None:
                 raise ParameterError(f"{self.kind} spec requires {name}")
-            if name not in required and name not in optional and value is not None:
+            if name not in required and value is not None:
                 raise ParameterError(f"{name} is not a parameter of kind {self.kind}")
             if value is not None:
                 _require_finite(**{name: value})
@@ -86,7 +88,7 @@ class BenchmarkSpec:
             raise ParameterError("mu must lie in (0, 1)")
         if self.rho is not None and not 0.0 <= self.rho < 1.0:
             raise ParameterError("rho must lie in [0, 1)")
-        if self.s1 is not None and not 1 <= self.s1 <= self.s2:
+        if self.s1 is not None and not 1 <= operator.index(self.s1) <= operator.index(self.s2):
             raise ParameterError("community size range requires 1 <= s1 <= s2")
 
 
@@ -183,6 +185,7 @@ def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, Gro
 
     Ground truth: no communities, every vertex background.
     """
+    n = operator.index(n)
     _require_finite(dbar=dbar)
     if n < 0:
         raise ParameterError("n must be >= 0")
@@ -253,6 +256,7 @@ def sample_powerlaw_degrees(
     distribution mean is as close as possible to dbar. An odd total is
     fixed by incrementing the smallest-degree vertex.
     """
+    n = operator.index(n)
     _require_finite(tau=tau, dbar=dbar)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -285,7 +289,7 @@ def sample_powerlaw_degrees(
 
 def single_embedded_theta(n: int, pi: float, kappa: float, dbar: float) -> float:
     """Base edge probability theta giving expected mean degree dbar."""
-    if n < 2:
+    if operator.index(n) < 2:
         raise ParameterError("n must be >= 2")
     return dbar / ((n - 1) * (1.0 + (kappa - 1.0) * pi * pi))
 
@@ -300,6 +304,7 @@ def gen_single_embedded(
     pair with probability theta. Ground truth: the community block,
     background the rest.
     """
+    n = operator.index(n)
     _require_finite(pi=pi, kappa=kappa, theta=theta)
     if not 0.0 < pi < 1.0:
         raise ParameterError("pi must lie in (0, 1)")

@@ -75,24 +75,16 @@ def _cmd_detect(args) -> tuple[dict, str]:
     )
 
 
+# the generate flag of each spec field whose name differs
+_FLAGS = {"s1": "smin", "s2": "smax"}
+
+
 def _spec_from_args(args) -> bench.BenchmarkSpec:
     kind = args.kind.replace("-", "_")
-    fields = {}
-    for name in ("dbar", "tau1", "tau2", "mu", "rho", "pi", "kappa", "theta"):
-        fields[name] = getattr(args, name, None)
-    if kind == "sbm_single" and fields["theta"] is None:
-        fields["theta"] = bench.single_embedded_theta(
-            args.n, fields["pi"], fields["kappa"], fields.pop("dbar")
-        )
-        fields["dbar"] = None
-    return bench.BenchmarkSpec(
-        kind=kind,
-        n=args.n,
-        s1=getattr(args, "smin", None),
-        s2=getattr(args, "smax", None),
-        rng_seed=args.rng_seed,
-        **fields,
-    )
+    fields = {name: getattr(args, _FLAGS.get(name, name)) for name in bench.FIELDS[kind]}
+    if kind == "sbm_single" and args.theta is None:
+        fields["theta"] = bench.single_embedded_theta(args.n, args.pi, args.kappa, args.dbar)
+    return bench.BenchmarkSpec(kind=kind, n=args.n, rng_seed=args.rng_seed, **fields)
 
 
 def _cmd_generate(args) -> tuple[dict, str]:
@@ -140,22 +132,13 @@ def _evaluate(metric: str, pred_path: str, truth_path: str) -> float:
     if metric == "gnmi":
         return metrics.gnmi_cover(pred, truth)
     if metric == "nmi":
-        parts = []
-        for comms, bg in (pred, truth):
-            blocks = list(comms)
-            if bg:
-                blocks.append(bg)
-            parts.append(blocks)
-        return metrics.nmi_partition(parts[0], parts[1])
+        return metrics.nmi_partition(metrics._cover_sets(pred), metrics._cover_sets(truth))
     if metric == "bg-jaccard":
         return metrics.jaccard(pred[1], truth[1])
     # mean-best-match: average best Jaccard against each true community
-    truth_comms = [c for c in truth[0] if c]
-    if not truth_comms:
+    if not truth[0]:
         raise ValueError("truth file contains no non-empty communities")
-    return float(
-        np.mean([metrics.best_match_score(pred[0], c) for c in truth_comms])
-    )
+    return float(np.mean([metrics.best_match_score(pred[0], c) for c in truth[0]]))
 
 
 def _cmd_eval(args) -> tuple[dict, str]:
@@ -271,46 +254,28 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a benchmark graph and its truth")
     gsub = gen.add_subparsers(dest="kind", required=True)
 
-    def common(gp, truth_required=True):
+    for kind, names in bench.FIELDS.items():
+        gp = gsub.add_parser(kind.replace("_", "-"))
+        for name in names:
+            if name in _FLAGS:
+                gp.add_argument(f"--{_FLAGS[name]}", type=int, required=True)
+            elif name == "rho":
+                gp.add_argument("--rho", type=float, default=0.0)
+            elif name == "theta":
+                group = gp.add_mutually_exclusive_group(required=True)
+                group.add_argument("--theta", type=float)
+                group.add_argument("--dbar", type=float,
+                                   help="choose theta to hit this expected mean degree")
+            else:
+                gp.add_argument(f"--{name}", type=float, required=True)
         gp.add_argument("--n", type=int, required=True)
         gp.add_argument("--rng-seed", type=int, default=None)
         gp.add_argument("--out", required=True, help="edge-list file to write")
-        gp.add_argument("--truth", required=truth_required,
+        # the null models plant no communities, so their truth is optional
+        gp.add_argument("--truth", required=kind not in ("er", "config"),
                         help="ground-truth community file to write")
         gp.add_argument("--report", help="JSON run report to write")
         gp.set_defaults(func=_cmd_generate)
-
-    gp = gsub.add_parser("er")
-    gp.add_argument("--dbar", type=float, required=True)
-    common(gp, truth_required=False)
-
-    gp = gsub.add_parser("config")
-    gp.add_argument("--dbar", type=float, required=True)
-    gp.add_argument("--tau1", type=float, required=True)
-    common(gp, truth_required=False)
-
-    gp = gsub.add_parser("sbm-single")
-    gp.add_argument("--pi", type=float, required=True)
-    gp.add_argument("--kappa", type=float, required=True)
-    group = gp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--theta", type=float)
-    group.add_argument("--dbar", type=float,
-                       help="choose theta to hit this expected mean degree")
-    common(gp)
-
-    for kind in ("lfr", "lfr-bg"):
-        gp = gsub.add_parser(kind)
-        gp.add_argument("--dbar", type=float, required=True)
-        gp.add_argument("--tau1", type=float, required=True)
-        gp.add_argument("--tau2", type=float, required=True)
-        gp.add_argument("--mu", type=float, required=True)
-        gp.add_argument("--smin", type=int, required=True)
-        gp.add_argument("--smax", type=int, required=True)
-        if kind == "lfr":
-            gp.add_argument("--rho", type=float, default=0.0)
-        else:
-            gp.add_argument("--pi", type=float, required=True)
-        common(gp)
 
     p = sub.add_parser("eval", help="score a prediction against ground truth")
     p.add_argument("--pred", required=True, help="predicted community file")
@@ -325,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_alpha_list,
                    default="0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.10",
                    help="comma-separated levels")
-    p.add_argument("--reference-alpha", type=float, default=0.05)
+    p.add_argument("--reference-alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--output", dest="report", help="JSON report to write")
     p.set_defaults(func=_cmd_sweep)
 

@@ -64,7 +64,7 @@ class MultiGraph:
         # the CSR arrays must already be canonical: symmetric rows, columns
         # strictly increasing within a row, a loop entry holding 2x its
         # multiplicity (so row sums are degrees). Use the classmethods to build.
-        self.n = int(n)
+        self.n = operator.index(n)
         self._indptr = indptr
         self._indices = indices
         self._data = data
@@ -87,7 +87,7 @@ class MultiGraph:
         labels: Sequence[str] | None = None,
     ) -> "MultiGraph":
         """Build from parallel endpoint arrays, accumulating multiplicity."""
-        n = int(n)
+        n = operator.index(n)
         u, v = _int_array(u, "endpoints"), _int_array(v, "endpoints")
         mult = np.ones(u.size, dtype=np.int64) if mult is None else _int_array(mult, "multiplicities")
         if not u.shape == v.shape == mult.shape:

@@ -46,6 +46,38 @@ def test_spec_validation():
         BenchmarkSpec(
             kind="lfr", n=10, dbar=3.0, tau1=2, tau2=1, mu=1.5, s1=2, s2=5, rho=0.0
         ).validate()
+    lfr = dict(kind="lfr", n=100, dbar=3.0, tau1=2, tau2=1, mu=0.2, s1=2, s2=5, rho=0.0)
+    for fields, message in (
+        (dict(kind="er", n=-1, dbar=3.0), "n must"),
+        (dict(lfr, kind="lfr_bg", rho=None, pi=1.5), "pi must"),
+        (dict(lfr, rho=1.0), "rho must"),
+        (dict(lfr, s1=50, s2=40), "s1 <= s2"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            BenchmarkSpec(**fields).validate()
+
+
+def test_float_counts_are_rejected_before_any_draw():
+    # a float n, s1 or s2 raises rather than reaching the generators, where
+    # s1=20.5 and s2=100.5 used to yield a graph
+    lfr = dict(kind="lfr", n=1000, dbar=20.0, tau1=2.0, tau2=1.0, mu=0.2, s1=20, s2=100,
+               rho=0.0, rng_seed=1)
+    for fields in (dict(lfr, n=1000.5), dict(lfr, s1=20.5), dict(lfr, s2=100.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            generate(BenchmarkSpec(**fields))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        single_embedded_theta(300.5, 0.2, 5.0, 8.0)
+    calls = [
+        lambda rng: gen_erdos_renyi(20.5, 3.0, rng),
+        lambda rng: gen_single_embedded(300.5, 0.2, 5.0, 0.01, rng),
+        lambda rng: sample_powerlaw_degrees(300.5, 2.0, 5.0, rng),
+    ]
+    for call in calls:
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(rng)
+        assert rng.bit_generator.state == before
 
 
 def test_non_finite_parameters_are_rejected_before_any_draw():
@@ -135,6 +167,14 @@ def test_erdos_renyi_edges_and_truth():
 
     with pytest.raises(ParameterError):
         gen_erdos_renyi(100, 120, 1)
+    with pytest.raises(ParameterError, match="n must"):
+        gen_erdos_renyi(-1, 1.0)
+    with pytest.raises(ParameterError, match="dbar must"):
+        gen_erdos_renyi(10, -1.0)
+
+    # dbar = n - 1 links every pair: K5
+    g, _ = gen_erdos_renyi(5, 4.0, 1)
+    assert g.edge_count == 10 and g.degrees.tolist() == [4] * 5
 
 
 def test_erdos_renyi_edge_count_concentrates():
@@ -217,6 +257,10 @@ def test_powerlaw_degrees_basics():
         sample_powerlaw_degrees(100, 2.0, 100, 1)
     with pytest.raises(ParameterError):
         sample_powerlaw_degrees(100, 0.9, 5, 1)
+    with pytest.raises(ParameterError, match="dbar must"):
+        sample_powerlaw_degrees(10, 2.0, 0.5)
+    with pytest.raises(ParameterError, match="no feasible degree support"):
+        sample_powerlaw_degrees(1, 2.0, 1.0)
 
 
 def test_single_embedded_parameters():
@@ -226,6 +270,8 @@ def test_single_embedded_parameters():
         gen_single_embedded(100, 0.0, 10, 0.01, 1)
     with pytest.raises(ParameterError):
         gen_single_embedded(100, 0.1, 0.9, 0.01, 1)
+    with pytest.raises(ParameterError, match="n must"):
+        single_embedded_theta(1, 0.1, 10, 5)
 
 
 def test_single_embedded_unit_contrast_is_uniform():
@@ -354,6 +400,13 @@ def test_lfr_background_degree_audit():
     covered = set().union(*truth.communities) if truth.communities else set()
     assert covered.isdisjoint(truth.background)
     assert covered | truth.background == set(range(g.n))
+    # background vertices link with probability dbar / n
+    with pytest.raises(ParameterError, match="dbar must not exceed n"):
+        gen_lfr_background(dataclasses.replace(_LFR_BG, n=10, dbar=20))
+    # seed 1 puts 6 of the 400 vertices in the block
+    small = dataclasses.replace(_LFR_BG, n=400, dbar=12, s1=10, s2=40, pi=0.02, rng_seed=1)
+    with pytest.raises(GenerationError, match="6 vertices, fewer than s1=10"):
+        gen_lfr_background(small)
 
 
 def test_lfr_background_nearly_all_block_reduces_to_lfr():
@@ -396,6 +449,10 @@ def test_generate_dispatch_covers_all_kinds():
         g, truth = generate(spec)
         assert g.n == 50
         assert set().union(truth.background, *([set()] + truth.communities)) == set(range(50))
+    with pytest.raises(ParameterError, match="expected an lfr spec"):
+        gen_lfr(BenchmarkSpec(kind="er", n=50, dbar=4, rng_seed=1))
+    with pytest.raises(ParameterError, match="expected an lfr_bg spec"):
+        gen_lfr_background(_LFR)
 
 
 _SMALL = dict(dbar=12, tau1=2.0, tau2=1.0, s1=10, s2=40)

@@ -102,6 +102,11 @@ def test_builders_reject_non_integer_input():
         MultiGraph.from_edges(3, [(0, 1, 2.9)])
     with pytest.raises(TypeError):
         MultiGraph.from_edges(3, [(0, 1), (1.0, 2)])
+    # nor is a float vertex count truncated
+    with pytest.raises(TypeError):
+        MultiGraph.from_pair_arrays(3.7, [0], [1])
+    with pytest.raises(TypeError):
+        MultiGraph.from_edges(3.7, [(0, 1)])
     # empty input stays valid, though np.asarray([]) is float64
     assert MultiGraph.from_pair_arrays(3, [], [], []).edge_count == 0
     assert MultiGraph.from_edges(3, []).edge_count == 0
@@ -115,6 +120,10 @@ def test_builders_check_the_multiplicity_length():
             MultiGraph.from_pair_arrays(3, [0, 1], [1, 2], mult)
     with pytest.raises(ValueError, match="equal length"):
         MultiGraph.from_pair_arrays(3, [0, 1], [1])
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        MultiGraph.from_pair_arrays(3, [0, 1], [1, 2], [1, 0])
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        MultiGraph.from_edges(3, [(0, 1)], labels=["a", "b"])
 
 
 def test_label_starting_with_comment_mark_is_rejected():
@@ -167,6 +176,12 @@ def test_out_of_range_ids_rejected():
         g.volume({5})
     with pytest.raises(ValueError):
         as_id_array({-1}, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        MultiGraph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(-1)
+    with pytest.raises(ValueError, match="out of range"):
+        g.neighbors(3)
     # a float id is refused, not truncated to the vertex below it
     with pytest.raises(TypeError):
         as_id_array([2.7], 3)
