@@ -455,6 +455,56 @@ def test_generate_dispatch_covers_all_kinds():
         gen_lfr_background(_LFR)
 
 
+# one fault per row: the positional front door of a kind, its arguments,
+# and the error it raises; the last column, when present, is the error of
+# the spec form where it differs
+_FRONT_DOOR_ERRORS = [
+    ("er", (-1, 1.0), ParameterError, "n must be >= 0"),
+    ("er", (10, -1.0), ParameterError, "dbar must be >= 0"),
+    ("er", (100, 120), ParameterError, "dbar=120 exceeds n-1=99"),
+    ("er", (50, float("nan")), ParameterError, "dbar must be finite, got nan"),
+    ("sbm_single", (100, 0.0, 10, 0.01), ParameterError, "pi must lie in (0, 1)"),
+    ("sbm_single", (100, 0.1, 0.9, 0.01), ParameterError, "kappa must be >= 1"),
+    ("sbm_single", (100, 0.1, 10, 0.15), ParameterError,
+     "theta must satisfy 0 < theta * kappa <= 1"),
+    ("sbm_single", (100, 0.1, 10, 0.0), ParameterError,
+     "theta must satisfy 0 < theta * kappa <= 1"),
+    ("sbm_single", (-5, 0.1, 10, 0.01), ValueError, "negative dimensions are not allowed",
+     (ParameterError, "n must be >= 0")),
+]
+
+
+@pytest.mark.parametrize("row", _FRONT_DOOR_ERRORS)
+def test_both_entry_forms_raise_the_same_error(row):
+    kind, args, error, message = row[:4]
+    spec_error, spec_message = row[4] if len(row) > 4 else (error, message)
+    front_door, names = {
+        "er": (gen_erdos_renyi, ("n", "dbar")),
+        "sbm_single": (gen_single_embedded, ("n", "pi", "kappa", "theta")),
+    }[kind]
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(error) as raised:
+        front_door(*args, rng)
+    assert type(raised.value) is error and str(raised.value) == message
+    assert rng.bit_generator.state == before
+    with pytest.raises(spec_error) as raised:
+        generate(BenchmarkSpec(kind, **dict(zip(names, args)), rng_seed=rng))
+    assert type(raised.value) is spec_error and str(raised.value) == spec_message
+    assert rng.bit_generator.state == before
+
+
+def test_spec_front_doors_raise_their_errors():
+    with pytest.raises(ParameterError) as raised:
+        gen_lfr(BenchmarkSpec(kind="er", n=50, dbar=4, rng_seed=1))
+    assert str(raised.value) == "expected an lfr spec, got kind 'er'"
+    too_dense = dataclasses.replace(_LFR_BG, n=10, dbar=20)
+    for call in (gen_lfr_background, generate):
+        with pytest.raises(ParameterError) as raised:
+            call(too_dense)
+        assert str(raised.value) == "dbar must not exceed n"
+
+
 _SMALL = dict(dbar=12, tau1=2.0, tau2=1.0, s1=10, s2=40)
 
 # sha256 of write_edge_list(g) + write_communities(truth) for every kind,
