@@ -13,8 +13,8 @@ Families provided:
 - ``lfr_bg``: the ``lfr`` construction on a random pi-fraction of the
   vertices, plus background vertices connected uniformly to everyone.
 
-All generators are deterministic given their seed; one generator call
-consumes a single RNG stream.
+`generate` builds every family from a `BenchmarkSpec`, deterministically
+given its seed and from one RNG stream; ``gen_*`` are shorthands for it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class BenchmarkSpec:
 
     Fields must be set exactly when `FIELDS` lists them for `kind`, and
     `n`, `s1` and `s2` must be integers (a float raises TypeError);
-    `validate` enforces that.
+    `validate` enforces that and every rule on the fields alone. `rng_seed`
+    is an int, a `numpy.random.Generator` (drawn from in place) or None.
     """
 
     kind: str
@@ -66,7 +67,7 @@ class BenchmarkSpec:
     pi: float | None = None
     kappa: float | None = None
     theta: float | None = None
-    rng_seed: int | None = None
+    rng_seed: int | np.random.Generator | None = None
 
     def validate(self) -> None:
         if self.kind not in FIELDS:
@@ -90,6 +91,17 @@ class BenchmarkSpec:
             raise ParameterError("rho must lie in [0, 1)")
         if self.s1 is not None and not 1 <= operator.index(self.s1) <= operator.index(self.s2):
             raise ParameterError("community size range requires 1 <= s1 <= s2")
+        if self.kind == "er" and self.dbar < 0:
+            raise ParameterError("dbar must be >= 0")
+        if self.kind == "er" and self.n > 1 and self.dbar > self.n - 1:
+            raise ParameterError(f"dbar={self.dbar} exceeds n-1={self.n - 1}")
+        if self.kappa is not None and self.kappa < 1.0:
+            # kappa = 1 is admitted as the degenerate uniform (no-contrast) case
+            raise ParameterError("kappa must be >= 1")
+        if self.theta is not None and (self.theta <= 0.0 or self.theta * self.kappa > 1.0):
+            raise ParameterError("theta must satisfy 0 < theta * kappa <= 1")
+        if self.kind == "lfr_bg" and self.n and self.dbar / self.n > 1.0:
+            raise ParameterError("dbar must not exceed n")
 
 
 @dataclass(frozen=True)
@@ -178,25 +190,6 @@ def _bernoulli_pairs(
 def _from_parts(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> MultiGraph:
     us, vs = zip(*parts)
     return MultiGraph.from_pair_arrays(n, np.concatenate(us), np.concatenate(vs))
-
-
-def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
-    """Erdos-Renyi graph where each pair is linked with probability dbar/(n-1).
-
-    Ground truth: no communities, every vertex background.
-    """
-    n = operator.index(n)
-    _require_finite(dbar=dbar)
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    if dbar < 0:
-        raise ParameterError("dbar must be >= 0")
-    if n > 1 and dbar > n - 1:
-        raise ParameterError(f"dbar={dbar} exceeds n-1={n - 1}")
-    rng = _rng(rng_seed)
-    p = dbar / (n - 1) if n > 1 else 0.0
-    g = MultiGraph.from_pair_arrays(n, *_bernoulli_pairs(np.arange(n), None, p, rng))
-    return g, GroundTruth(communities=[], background=frozenset(range(n)))
 
 
 def _degree_sequence(degrees) -> np.ndarray:
@@ -294,37 +287,6 @@ def single_embedded_theta(n: int, pi: float, kappa: float, dbar: float) -> float
     return dbar / ((n - 1) * (1.0 + (kappa - 1.0) * pi * pi))
 
 
-def gen_single_embedded(
-    n: int, pi: float, kappa: float, theta: float, rng_seed=None
-) -> tuple[MultiGraph, GroundTruth]:
-    """Two-block model with one embedded community in a uniform background.
-
-    Vertices land in the community block with probability pi; pairs
-    inside it are linked with probability theta * kappa and every other
-    pair with probability theta. Ground truth: the community block,
-    background the rest.
-    """
-    n = operator.index(n)
-    _require_finite(pi=pi, kappa=kappa, theta=theta)
-    if not 0.0 < pi < 1.0:
-        raise ParameterError("pi must lie in (0, 1)")
-    if kappa < 1.0:
-        # kappa = 1 is admitted as the degenerate uniform (no-contrast) case
-        raise ParameterError("kappa must be >= 1")
-    if theta <= 0.0 or theta * kappa > 1.0:
-        raise ParameterError("theta must satisfy 0 < theta * kappa <= 1")
-    rng = _rng(rng_seed)
-    in_comm = rng.random(n) < pi
-    c1 = np.nonzero(in_comm)[0]
-    c2 = np.nonzero(~in_comm)[0]
-    g = _from_parts(n, [
-        _bernoulli_pairs(c1, None, theta * kappa, rng),
-        _bernoulli_pairs(c1, c2, theta, rng),
-        _bernoulli_pairs(c2, None, theta, rng),
-    ])
-    return g, GroundTruth(communities=[frozenset(c1.tolist())], background=frozenset(c2.tolist()))
-
-
 def _sample_community_sizes(slots: int, tau2: float, s1: int, s2: int, rng) -> list[int]:
     """Power-law community sizes covering exactly `slots` membership seats."""
     support = np.arange(s1, s2 + 1, dtype=np.int64)
@@ -412,8 +374,6 @@ def _assign_memberships(
         seat(m1[v])
         seat(m2[v])
     for v in rest:
-        if len(open_c) < 1:
-            return None
         pool = pools.get(need[v])
         if pool is None:
             fit = open_c[size_arr[open_c] > need[v]]
@@ -513,6 +473,87 @@ def _lfr_edges(spec: BenchmarkSpec, rng) -> tuple[np.ndarray, np.ndarray, list[n
     return np.concatenate(us), np.concatenate(vs), members
 
 
+def generate(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
+    """The graph and ground truth of `spec`, drawn from one RNG."""
+    spec.validate()
+    rng = _rng(spec.rng_seed)
+    n = spec.n
+    if spec.kind == "er":
+        p = spec.dbar / (n - 1) if n > 1 else 0.0
+        g = MultiGraph.from_pair_arrays(n, *_bernoulli_pairs(np.arange(n), None, p, rng))
+        return g, GroundTruth(communities=[], background=frozenset(range(n)))
+    if spec.kind == "config":
+        degrees = sample_powerlaw_degrees(n, spec.tau1, spec.dbar, rng)
+        g = gen_configuration(degrees, rng)
+        return g, GroundTruth(communities=[], background=frozenset(range(n)))
+    if spec.kind == "lfr":
+        us, vs, members = _lfr_edges(spec, rng)
+        g = MultiGraph.from_pair_arrays(n, us, vs)
+        return g, GroundTruth(
+            communities=[frozenset(m.tolist()) for m in members], background=frozenset()
+        )
+    # sbm_single and lfr_bg: each vertex joins the planted block with probability pi
+    in_block = rng.random(n) < spec.pi
+    c1 = np.flatnonzero(in_block)
+    c2 = np.flatnonzero(~in_block)
+    if spec.kind == "lfr_bg":
+        p2 = spec.dbar / n if n else 0.0
+        parts = []
+        communities: list[VertexSet] = []
+        if len(c1):
+            if len(c1) < spec.s1:
+                raise GenerationError(
+                    f"community block has {len(c1)} vertices, fewer than s1={spec.s1}"
+                )
+            block_dbar = spec.dbar * spec.pi
+            if block_dbar < 1.0:
+                raise ParameterError(f"block mean degree dbar * pi = {block_dbar:g} must be >= 1")
+            sub = replace(
+                spec,
+                kind="lfr",
+                n=int(len(c1)),
+                dbar=block_dbar,
+                rho=0.0,
+                pi=None,
+                rng_seed=None,
+            )
+            sub_u, sub_v, members = _lfr_edges(sub, rng)
+            parts.append((c1[sub_u], c1[sub_v]))
+            communities = [frozenset(c1[m].tolist()) for m in members]
+        parts.append(_bernoulli_pairs(c2, None, p2, rng))
+        parts.append(_bernoulli_pairs(c2, c1, p2, rng))
+        g = _from_parts(n, parts)
+        return g, GroundTruth(communities=communities, background=frozenset(c2.tolist()))
+    g = _from_parts(n, [
+        _bernoulli_pairs(c1, None, spec.theta * spec.kappa, rng),
+        _bernoulli_pairs(c1, c2, spec.theta, rng),
+        _bernoulli_pairs(c2, None, spec.theta, rng),
+    ])
+    return g, GroundTruth(communities=[frozenset(c1.tolist())], background=frozenset(c2.tolist()))
+
+
+def gen_erdos_renyi(n: int, dbar: float, rng_seed=None) -> tuple[MultiGraph, GroundTruth]:
+    """Erdos-Renyi graph where each pair is linked with probability dbar/(n-1).
+
+    Ground truth: no communities, every vertex background.
+    """
+    return generate(BenchmarkSpec("er", n, dbar=dbar, rng_seed=rng_seed))
+
+
+def gen_single_embedded(
+    n: int, pi: float, kappa: float, theta: float, rng_seed=None
+) -> tuple[MultiGraph, GroundTruth]:
+    """Two-block model with one embedded community in a uniform background.
+
+    Vertices land in the community block with probability pi; pairs
+    inside it are linked with probability theta * kappa and every other
+    pair with probability theta. Ground truth: the community block,
+    background the rest.
+    """
+    spec = BenchmarkSpec("sbm_single", n, pi=pi, kappa=kappa, theta=theta, rng_seed=rng_seed)
+    return generate(spec)
+
+
 def gen_lfr(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
     """Power-law benchmark graph with planted communities.
 
@@ -524,15 +565,9 @@ def gen_lfr(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
     internal stubs within each community and external stubs globally,
     rejecting external pairs that land inside a community.
     """
-    spec.validate()
     if spec.kind != "lfr":
         raise ParameterError(f"expected an lfr spec, got kind {spec.kind!r}")
-    rng = _rng(spec.rng_seed)
-    us, vs, members = _lfr_edges(spec, rng)
-    g = MultiGraph.from_pair_arrays(spec.n, us, vs)
-    return g, GroundTruth(
-        communities=[frozenset(m.tolist()) for m in members], background=frozenset()
-    )
+    return generate(spec)
 
 
 def gen_lfr_background(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
@@ -543,56 +578,6 @@ def gen_lfr_background(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
     to every other vertex independently with probability dbar / n, so the
     whole network keeps mean degree dbar.
     """
-    spec.validate()
     if spec.kind != "lfr_bg":
         raise ParameterError(f"expected an lfr_bg spec, got kind {spec.kind!r}")
-    rng = _rng(spec.rng_seed)
-    n = spec.n
-    p2 = spec.dbar / n if n else 0.0
-    if p2 > 1.0:
-        raise ParameterError("dbar must not exceed n")
-
-    in_block = rng.random(n) < spec.pi
-    c1 = np.flatnonzero(in_block)
-    c2 = np.flatnonzero(~in_block)
-
-    parts = []
-    communities: list[VertexSet] = []
-    if len(c1):
-        if len(c1) < spec.s1:
-            raise GenerationError(
-                f"community block has {len(c1)} vertices, fewer than s1={spec.s1}"
-            )
-        sub = replace(
-            spec,
-            kind="lfr",
-            n=int(len(c1)),
-            dbar=spec.dbar * spec.pi,
-            rho=0.0,
-            pi=None,
-            rng_seed=None,
-        )
-        sub_u, sub_v, members = _lfr_edges(sub, rng)
-        parts.append((c1[sub_u], c1[sub_v]))
-        communities = [frozenset(c1[m].tolist()) for m in members]
-    parts.append(_bernoulli_pairs(c2, None, p2, rng))
-    parts.append(_bernoulli_pairs(c2, c1, p2, rng))
-    g = _from_parts(n, parts)
-    return g, GroundTruth(communities=communities, background=frozenset(c2.tolist()))
-
-
-def generate(spec: BenchmarkSpec) -> tuple[MultiGraph, GroundTruth]:
-    """Dispatch a spec to its generator."""
-    spec.validate()
-    if spec.kind == "er":
-        return gen_erdos_renyi(spec.n, spec.dbar, spec.rng_seed)
-    if spec.kind == "config":
-        rng = _rng(spec.rng_seed)
-        degrees = sample_powerlaw_degrees(spec.n, spec.tau1, spec.dbar, rng)
-        g = gen_configuration(degrees, rng)
-        return g, GroundTruth(communities=[], background=frozenset(range(spec.n)))
-    if spec.kind == "sbm_single":
-        return gen_single_embedded(spec.n, spec.pi, spec.kappa, spec.theta, spec.rng_seed)
-    if spec.kind == "lfr":
-        return gen_lfr(spec)
-    return gen_lfr_background(spec)
+    return generate(spec)

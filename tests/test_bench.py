@@ -407,6 +407,26 @@ def test_lfr_background_degree_audit():
     small = dataclasses.replace(_LFR_BG, n=400, dbar=12, s1=10, s2=40, pi=0.02, rng_seed=1)
     with pytest.raises(GenerationError, match="6 vertices, fewer than s1=10"):
         gen_lfr_background(small)
+    # seed 5 draws a block of at least s1 vertices, but its mean degree
+    # 12 * 0.02 is below the power law's floor of 1
+    with pytest.raises(ParameterError) as raised:
+        gen_lfr_background(dataclasses.replace(small, rng_seed=5))
+    assert str(raised.value) == "block mean degree dbar * pi = 0.24 must be >= 1"
+
+
+def test_lfr_wiring_failures_raise():
+    tiny = dict(kind="lfr", dbar=5.0, tau1=2.0, tau2=1.0, mu=0.3, s1=20, s2=100)
+    for seed in range(4):
+        # 22 seats make one community, which cannot seat a member twice
+        with pytest.raises(GenerationError) as raised:
+            generate(BenchmarkSpec(n=20, rho=0.1, rng_seed=seed, **tiny))
+        assert str(raised.value) == "could not assign 20 vertices to 1 communities in 100 attempts"
+        # one community leaves external stubs no pair outside it
+        with pytest.raises(
+            GenerationError,
+            match=r"^external wiring kept \d+ within-community pairs after 100 rewiring passes",
+        ):
+            generate(BenchmarkSpec(n=25, rho=0.0, rng_seed=seed, **tiny))
 
 
 def test_lfr_background_nearly_all_block_reduces_to_lfr():
@@ -456,8 +476,7 @@ def test_generate_dispatch_covers_all_kinds():
 
 
 # one fault per row: the positional front door of a kind, its arguments,
-# and the error it raises; the last column, when present, is the error of
-# the spec form where it differs
+# and the error that it and the spec form raise
 _FRONT_DOOR_ERRORS = [
     ("er", (-1, 1.0), ParameterError, "n must be >= 0"),
     ("er", (10, -1.0), ParameterError, "dbar must be >= 0"),
@@ -469,15 +488,12 @@ _FRONT_DOOR_ERRORS = [
      "theta must satisfy 0 < theta * kappa <= 1"),
     ("sbm_single", (100, 0.1, 10, 0.0), ParameterError,
      "theta must satisfy 0 < theta * kappa <= 1"),
-    ("sbm_single", (-5, 0.1, 10, 0.01), ValueError, "negative dimensions are not allowed",
-     (ParameterError, "n must be >= 0")),
+    ("sbm_single", (-5, 0.1, 10, 0.01), ParameterError, "n must be >= 0"),
 ]
 
 
-@pytest.mark.parametrize("row", _FRONT_DOOR_ERRORS)
-def test_both_entry_forms_raise_the_same_error(row):
-    kind, args, error, message = row[:4]
-    spec_error, spec_message = row[4] if len(row) > 4 else (error, message)
+@pytest.mark.parametrize("kind, args, error, message", _FRONT_DOOR_ERRORS)
+def test_both_entry_forms_raise_the_same_error(kind, args, error, message):
     front_door, names = {
         "er": (gen_erdos_renyi, ("n", "dbar")),
         "sbm_single": (gen_single_embedded, ("n", "pi", "kappa", "theta")),
@@ -488,9 +504,9 @@ def test_both_entry_forms_raise_the_same_error(row):
         front_door(*args, rng)
     assert type(raised.value) is error and str(raised.value) == message
     assert rng.bit_generator.state == before
-    with pytest.raises(spec_error) as raised:
+    with pytest.raises(error) as raised:
         generate(BenchmarkSpec(kind, **dict(zip(names, args)), rng_seed=rng))
-    assert type(raised.value) is spec_error and str(raised.value) == spec_message
+    assert type(raised.value) is error and str(raised.value) == message
     assert rng.bit_generator.state == before
 
 
