@@ -17,6 +17,7 @@ Exit codes: 0 on success, 1 on domain or I/O errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
@@ -235,6 +236,7 @@ def _add_detection_options(p: argparse.ArgumentParser) -> None:
                    help="collapse multi-edges and drop self-loops first")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="essc",

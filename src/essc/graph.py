@@ -124,12 +124,14 @@ class MultiGraph:
         return cls.from_pair_arrays(n, us, vs, ms, labels)
 
     def degree(self, u: int) -> int:
+        u = operator.index(u)
         if u < 0 or u >= self.n:
             raise ValueError(f"vertex id {u} out of range")
         return int(self.degrees[u])
 
     def neighbors(self, u: int) -> np.ndarray:
         """Distinct neighbors of `u` (includes `u` itself if it has a loop)."""
+        u = operator.index(u)
         if u < 0 or u >= self.n:
             raise ValueError(f"vertex id {u} out of range")
         return self._indices[self._indptr[u]:self._indptr[u + 1]]

@@ -162,6 +162,21 @@ def test_sweep_alpha_two_cliques_rows_identical(clique_file, tmp_path):
         assert row["background_jaccard"] == 1.0
 
 
+def test_main_calls_share_no_state(clique_file, tmp_path, capsys):
+    # the parser is built once per process; one call's flags must not leak
+    # into the next call's defaults
+    report_path = tmp_path / "sweep.json"
+    for alphas in (["--alphas", "0.05"], []):
+        argv = ["sweep-alpha", "--input", str(clique_file), "--output", str(report_path)]
+        assert main(argv + alphas) == 0
+    assert len(json.loads(report_path.read_text())["rows"]) == 10
+    out = tmp_path / "g.txt"
+    for seed in (["--rng-seed", "1"], []):
+        capsys.readouterr()
+        assert main(["generate", "er", "--n", "50", "--dbar", "4", "--out", str(out)] + seed) == 0
+    assert capsys.readouterr().out.startswith("rng-seed: ")
+
+
 def test_sweep_alpha_single_level():
     rows = sweep_alpha(two_cliques(8), [0.05], 0.05)
     assert len(rows) == 1
@@ -253,6 +268,14 @@ def test_domain_errors_exit_one(tmp_path, capsys):
         "--truth", str(tmp_path / "t.txt"),
     ])
     assert code == 1
+
+    background_only = tmp_path / "bg.txt"
+    background_only.write_text("background: 0 1 2\n")
+    capsys.readouterr()
+    code = main(["eval", "--pred", str(background_only), "--truth", str(background_only),
+                 "--metric", "mean-best-match"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: truth file contains no non-empty communities\n"
 
 
 @pytest.mark.parametrize("text", [

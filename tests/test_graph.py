@@ -189,6 +189,10 @@ def test_out_of_range_ids_rejected():
         g.volume([2.7])
     with pytest.raises(TypeError):
         g.boundary_counts([2.5])
+    for call in (lambda: g.degree(1.5), lambda: g.neighbors(1.5),
+                 lambda: g.degree(np.float64(1.0))):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_full_set_identities_random_graphs():

@@ -52,6 +52,7 @@ def test_nmi_partition_examples():
     singles = [{i} for i in range(4)]
     assert nmi_partition(singles, [{0, 1, 2, 3}]) == 0.0
     assert nmi_partition([{0, 1}], [{0, 1}]) == 1.0  # both trivial
+    assert nmi_partition([], []) == 1.0  # no vertices
 
 
 def test_nmi_partition_validation():
@@ -123,6 +124,7 @@ def test_gnmi_identical_covers():
     assert gnmi_cover(cover, cover) == pytest.approx(1.0, abs=1e-12)
     all_bg = ([], set(range(7)))
     assert gnmi_cover(all_bg, all_bg) == pytest.approx(1.0, abs=1e-12)
+    assert gnmi_cover(([], []), ([], [])) == 1.0  # no vertices
 
 
 def test_gnmi_one_block_versus_singletons():
