@@ -13,8 +13,8 @@ Families provided:
 - ``lfr_bg``: the ``lfr`` construction on a random pi-fraction of the
   vertices, plus background vertices connected uniformly to everyone.
 
-`generate` builds every family from a `BenchmarkSpec`, deterministically
-given its seed and from one RNG stream; ``gen_*`` are shorthands for it.
+`generate` builds every family from one RNG stream, deterministically
+given the seed; each ``gen_*`` but ``gen_configuration`` calls it.
 """
 
 from __future__ import annotations
