@@ -109,26 +109,18 @@ def _cmd_generate(args) -> tuple[dict, str]:
     )
 
 
-def _tokens_to_cover(
-    raw: tuple[list[list[str]], list[str]], key: dict[str, int]
-) -> tuple[list[frozenset[int]], frozenset[int]]:
-    comms = [frozenset(key[t] for t in line) for line in raw[0]]
-    bg = frozenset(key[t] for t in raw[1])
-    return comms, bg
-
-
 def _evaluate(metric: str, pred_path: str, truth_path: str) -> float:
-    raw_pred = read_communities(Path(pred_path).read_text())
-    raw_truth = read_communities(Path(truth_path).read_text())
     # match vertices by label, with ids in first-seen order: every score
     # is invariant under relabeling
     key: dict[str, int] = {}
-    for raw in (raw_pred, raw_truth):
-        for line in [*raw[0], raw[1]]:
-            for t in line:
-                key.setdefault(t, len(key))
-    pred = _tokens_to_cover(raw_pred, key)
-    truth = _tokens_to_cover(raw_truth, key)
+    covers = []
+    for path in (pred_path, truth_path):
+        comms, bg = read_communities(Path(path).read_text())
+        covers.append(([[key.setdefault(t, len(key)) for t in c] for c in comms],
+                       [key.setdefault(t, len(key)) for t in bg]))
+    pred, truth = covers
+    if set().union(*pred[0], pred[1]) != set().union(*truth[0], truth[1]):
+        raise ValueError("covers span different vertex sets")
 
     if metric == "gnmi":
         return metrics.gnmi_cover(pred, truth)

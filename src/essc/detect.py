@@ -298,12 +298,18 @@ def write_communities(
 def read_communities(text: str) -> tuple[list[list[str]], list[str]]:
     """Parse the community file format back into label lists.
 
-    Returns (communities, background) as lists of label tokens; the final
-    line must start with ``background:``.
+    Returns (communities, background) as lists of label tokens. The file
+    has exactly one line starting with ``background:``, the last, and no
+    label is both in a community and in the background.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[-1].startswith("background:"):
         raise ValueError("community file must end with a 'background:' line")
+    if any(ln.startswith("background:") for ln in lines[:-1]):
+        raise ValueError("community file has more than one 'background:' line")
     communities = [ln.split() for ln in lines[:-1]]
     background = lines[-1][len("background:"):].split()
+    shared = set(background).intersection(t for c in communities for t in c)
+    if shared:
+        raise ValueError(f"label {min(shared)!r} is both in a community and in the background")
     return communities, background

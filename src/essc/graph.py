@@ -136,20 +136,6 @@ class MultiGraph:
             raise ValueError(f"vertex id {u} out of range")
         return self._indices[self._indptr[u]:self._indptr[u + 1]]
 
-    def _boundary_of_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The vertices with an edge into a set given as distinct ids in
-        ``[0, n)`` (not checked), ascending, and their boundary counts,
-        read from the members' adjacency rows alone.
-
-        The counts are summed into a length-n array and the vertices are
-        its nonzero entries. Each member's row sums to its degree, so the
-        counts sum to the set's volume.
-        """
-        dense = self._boundary_dense(ids)
-        # a bool mask scans several times faster than the float array
-        vertices = np.flatnonzero(dense > 0)
-        return vertices, dense[vertices].astype(np.int64)
-
     def boundary_counts(self, members: Iterable[int]) -> np.ndarray:
         """Boundary count against the set for every vertex at once."""
         return self._boundary_dense(as_id_array(members, self.n)).astype(np.int64)

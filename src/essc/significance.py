@@ -89,16 +89,21 @@ def _boundary_law(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     their counts into it, and p(B). Every other vertex has p-value 1."""
     if g.edge_count == 0:
         raise DegenerateGraphError("graph has no edges; reference model is undefined")
-    vertices, counts = g._boundary_of_ids(ids)
+    dense = g._boundary_dense(ids)
+    # a bool mask scans several times faster than the float array
+    vertices = np.flatnonzero(dense > 0)
+    counts = dense[vertices].astype(np.int64)
     # the members' rows sum to their degrees, so the counts sum to vol(B)
     return vertices, counts, int(counts.sum()) / (2.0 * g.edge_count)
 
 
-def _scored(g: MultiGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices with an edge into the set of distinct ids, ascending,
-    and their connection p-values against it. Every other vertex has p = 1."""
+def _pvalues(g: MultiGraph, ids: np.ndarray) -> np.ndarray:
+    """Connection p-values of all n vertices against the set of distinct
+    ids; a vertex with no edge into it has p = 1."""
     vertices, counts, p = _boundary_law(g, ids)
-    return vertices, _binomial_survival_batch(g.degrees[vertices], p, counts)
+    table = np.ones(g.n)
+    table[vertices] = _binomial_survival_batch(g.degrees[vertices], p, counts)
+    return table
 
 
 def pvalue_table(g: MultiGraph, b: Iterable[int]) -> np.ndarray:
@@ -108,10 +113,7 @@ def pvalue_table(g: MultiGraph, b: Iterable[int]) -> np.ndarray:
     seeing at least the observed number of edges between u and `b`; a
     vertex with no edge into `b` has p = 1.
     """
-    vertices, pvalues = _scored(g, as_id_array(b, g.n))
-    table = np.ones(g.n)
-    table[vertices] = pvalues
-    return table
+    return _pvalues(g, as_id_array(b, g.n))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -232,16 +234,13 @@ def bh_select(g: MultiGraph, b: Iterable[int], alpha: float) -> VertexSet:
 def select_by_rank(g: MultiGraph, b: Iterable[int], k: int) -> VertexSet:
     """The `k` vertices most significantly connected to `b`.
 
-    Vertices are ordered by (p-value against `b`, id), the same order
-    `select_by_fdr` cuts, and the first `k` are returned whatever their
-    p-values. Past the vertices with p < 1, that order is by id alone.
-    Raises ValueError unless 0 <= k <= n.
+    The first `k` entries of the stable order of the p-value table: by
+    (p-value against `b`, id), the same order `select_by_fdr` cuts, taken
+    whatever the p-values. Past the vertices with p < 1, that order is by
+    id alone. Raises ValueError unless 0 <= k <= n.
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k must lie in [0, {g.n}], got {k}")
-    vertices, pvalues = _scored(g, as_id_array(b, g.n))
-    strong = pvalues < 1.0
-    # a stable sort keeps the ascending ids in order among equal p-values
-    top = vertices[strong][np.argsort(pvalues[strong], kind="stable")][:k]
-    rest = np.setdiff1d(np.arange(g.n), top)[:k - top.size]
-    return frozenset(top.tolist() + rest.tolist())
+    # perfbench/tracing.py patches pvalue_table, so the private name is called
+    table = _pvalues(g, as_id_array(b, g.n))
+    return frozenset(np.argsort(table, kind="stable")[:k].tolist())

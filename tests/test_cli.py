@@ -340,12 +340,13 @@ def test_oracle_whole_set_fraction_takes_every_other_vertex(tmp_path):
     assert json.loads(report.read_text())["set_size"] == 49
 
 
-def test_eval_rejects_mismatched_vertex_sets(tmp_path, capsys):
+@pytest.mark.parametrize("metric", ["gnmi", "nmi", "bg-jaccard", "mean-best-match"])
+def test_eval_rejects_mismatched_vertex_sets(metric, tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     a.write_text("0 1\nbackground: 2\n")
     b.write_text("0 1\nbackground: 2 3\n")
-    assert main(["eval", "--pred", str(a), "--truth", str(b), "--metric", "gnmi"]) == 1
+    assert main(["eval", "--pred", str(a), "--truth", str(b), "--metric", metric]) == 1
     assert "error:" in capsys.readouterr().err
 
 

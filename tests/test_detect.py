@@ -354,3 +354,12 @@ def test_community_file_empty_background():
     assert comms == [["0"]] and bg == []
     with pytest.raises(ValueError):
         read_communities("0 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("0 1\nbackground: 2\n3 4\nbackground: 5\n", id="background-not-last"),
+    pytest.param("0 1 1\nbackground: 1 2 3\n", id="label-in-both"),
+])
+def test_read_communities_rejects_malformed_files(text):
+    with pytest.raises(ValueError):
+        read_communities(text)

@@ -7,6 +7,7 @@ import pytest
 
 from essc.errors import EdgeListParseError
 from essc.graph import MultiGraph, as_id_array, parse_edge_list, write_edge_list
+from essc.significance import _boundary_law, block_probability
 
 from helpers import boundary_count, random_multigraph, triangle
 
@@ -220,11 +221,13 @@ def test_boundary_counts_matches_scalar_on_subsets():
                 assert counts[u] == boundary_count(g, u, subset)
             # the selection step relies on these: ascending vertices, only
             # positive counts, and counts that sum to vol(B) with loops
-            vertices, local = g._boundary_of_ids(as_id_array(subset, n))
+            vertices, local, p = _boundary_law(g, as_id_array(subset, n))
             assert np.all(np.diff(vertices) > 0)
             assert np.all(local > 0)
             assert np.array_equal(local, counts[vertices])
             assert int(local.sum()) == g.volume(subset)
+            if subset:
+                assert p == block_probability(g, subset)
 
 
 def test_write_then_parse_preserves_degrees_and_edges():
