@@ -11,6 +11,7 @@ detected community is background.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -299,8 +300,9 @@ def read_communities(text: str) -> tuple[list[list[str]], list[str]]:
     """Parse the community file format back into label lists.
 
     Returns (communities, background) as lists of label tokens. The file
-    has exactly one line starting with ``background:``, the last, and no
-    label is both in a community and in the background.
+    has exactly one line starting with ``background:``, the last, no
+    label is both in a community and in the background, and no line
+    repeats a label. A label may sit in several community lines (overlap).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[-1].startswith("background:"):
@@ -312,4 +314,8 @@ def read_communities(text: str) -> tuple[list[list[str]], list[str]]:
     shared = set(background).intersection(t for c in communities for t in c)
     if shared:
         raise ValueError(f"label {min(shared)!r} is both in a community and in the background")
+    for line in (*communities, background):
+        if len(set(line)) < len(line):
+            repeated = next(t for t, k in Counter(line).items() if k > 1)
+            raise ValueError(f"label {repeated!r} is repeated on one line")
     return communities, background

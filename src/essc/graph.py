@@ -156,13 +156,17 @@ class MultiGraph:
         """The row of every adjacency entry."""
         return np.repeat(np.arange(self.n), np.diff(self._indptr))
 
-    def edge_classes(self) -> Iterator[tuple[int, int, int]]:
-        """Distinct edges as ``(u, v, multiplicity)``, sorted by ``(u, v)``."""
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct edges as parallel ``u, v, multiplicity`` arrays with
+        ``u <= v``, sorted by ``(u, v)``."""
         rows = self._rows()
         upper = self._indices >= rows
         u, v, m = rows[upper], self._indices[upper], self._data[upper]
-        m = np.where(u == v, m // 2, m)
-        return zip(u.tolist(), v.tolist(), m.tolist())
+        return u, v, np.where(u == v, m // 2, m)
+
+    def edge_classes(self) -> Iterator[tuple[int, int, int]]:
+        """Distinct edges as ``(u, v, multiplicity)``, sorted by ``(u, v)``."""
+        return zip(*(a.tolist() for a in self._edge_arrays()))
 
     def simplified(self) -> "MultiGraph":
         """Copy with multi-edges collapsed to single edges and loops dropped."""
@@ -183,7 +187,85 @@ def parse_edge_list(text: str) -> MultiGraph:
     accumulate multiplicity. Lines starting with '#' and blank lines are
     skipped, so no label may start with '#': such a label in the second
     column raises EdgeListParseError.
+
+    A file of ``a b m`` lines with canonical decimal tokens, which is what
+    `write_edge_list` gives for integer labels, is read in bulk; any other
+    file is read line by line. Both give the same graph and labels.
     """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+# bytes per slice of the bulk reader: bounds the temporary masks
+_SLICE = 1 << 20
+_DIGITS = 18  # 10**18 - 1 < 2**63, so every canonical token fits int64
+
+
+def _parse_canonical(text: str) -> MultiGraph | None:
+    """`parse_edge_list` for a file whose every line, the last included,
+    is ``a b m`` and a newline, with single spaces and each token a
+    canonical decimal (ASCII digits, no leading zero but in ``0`` itself,
+    at most 18 digits), and ``1 <= m < 2**53``. Returns None for any
+    other text, which `_parse_lines` then reads.
+
+    A canonical token is its integer's `str`, so labels can be numbered
+    as integers without merging two strings (``7`` and ``007``) that
+    `int` reads alike.
+    """
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    blocks = []
+    start = 0
+    while start < len(text):
+        # a canonical line is under 60 bytes, so a slice holds a line end
+        end = text.rfind("\n", start, start + _SLICE) + 1
+        if end == 0:
+            return None
+        block = _canonical_rows(text[start:end].encode("ascii"))
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end
+    # first-seen order over a0 b0 a1 b1 ..., as the line loop numbers them;
+    # each `del` frees an array before the next large one, as the build's
+    # own peak comes on top of what is held when it starts
+    ends = np.concatenate([block[:, :2] for block in blocks]).ravel()
+    mult = np.concatenate([block[:, 2] for block in blocks])
+    del blocks
+    if mult.min() < 1 or mult.max() >= 2**53:
+        return None
+    values, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    del ends
+    order = np.argsort(first)  # the distinct values in first-seen order
+    ids = np.argsort(order)[inverse].reshape(-1, 2)
+    del inverse
+    labels = [str(x) for x in values[order].tolist()]
+    return MultiGraph.from_pair_arrays(len(labels), ids[:, 0], ids[:, 1], mult, labels)
+
+
+def _canonical_rows(block: bytes) -> np.ndarray | None:
+    """The ``(lines, 3)`` int64 values of `block`, whole ``a b m`` lines
+    of canonical decimals, or None if it is not in that form."""
+    b = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((b - ord("0")) >= 10)  # uint8 wraps below '0'
+    if seps.size % 3:
+        return None
+    kinds = b[seps].reshape(-1, 3)
+    if not ((kinds[:, :2] == ord(" ")).all() and (kinds[:, 2] == ord("\n")).all()):
+        return None
+    starts = np.concatenate([[0], seps[:-1] + 1])
+    lengths = seps - starts
+    if lengths.min() < 1 or lengths.max() > _DIGITS:
+        return None
+    if np.any((b[starts] == ord("0")) & (lengths > 1)):
+        return None
+    # the separator ' ' matches any run of whitespace, newlines included
+    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 3)
+
+
+def _parse_lines(text: str) -> MultiGraph:
+    """`parse_edge_list` line by line: the general path, and the one that
+    raises EdgeListParseError with the line number."""
     id_of: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
@@ -228,7 +310,17 @@ def write_edge_list(g: MultiGraph) -> str:
     """Serialize as ``label_u label_v multiplicity`` lines sorted by id pair.
 
     Isolated vertices carry no edges and are not representable in this
-    format.
+    format. A graph whose labels are canonical decimals, such as the
+    default ids, gives a file that `parse_edge_list` reads in bulk.
     """
-    labels = g.labels
-    return "".join(f"{labels[u]} {labels[v]} {m}\n" for u, v, m in g.edge_classes())
+    u, v, m = g._edge_arrays()
+    # each cell carries the separator after it; one string per label and
+    # per distinct multiplicity, of which most graphs have a handful
+    mults, slot = np.unique(m, return_inverse=True)
+    ends = np.array([f"{x}\n" for x in mults.tolist()], dtype=object)
+    labels = np.array([f"{x} " for x in g.labels], dtype=object)
+    cells = np.empty((u.size, 3), dtype=object)
+    cells[:, 0] = labels[u]
+    cells[:, 1] = labels[v]
+    cells[:, 2] = ends[slot]
+    return "".join(cells.ravel().tolist())

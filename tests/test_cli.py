@@ -340,6 +340,15 @@ def test_oracle_whole_set_fraction_takes_every_other_vertex(tmp_path):
     assert json.loads(report.read_text())["set_size"] == 49
 
 
+def test_eval_rejects_a_label_repeated_on_one_line(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    truth = tmp_path / "truth.txt"
+    pred.write_text("0 0 1\nbackground: 2 2\n")
+    truth.write_text("0 1\nbackground: 2\n")
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--metric", "gnmi"]) == 1
+    assert capsys.readouterr().err == "error: label '0' is repeated on one line\n"
+
+
 @pytest.mark.parametrize("metric", ["gnmi", "nmi", "bg-jaccard", "mean-best-match"])
 def test_eval_rejects_mismatched_vertex_sets(metric, tmp_path, capsys):
     a = tmp_path / "a.txt"

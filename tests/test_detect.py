@@ -356,10 +356,16 @@ def test_community_file_empty_background():
         read_communities("0 1\n")
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param("0 1\nbackground: 2\n3 4\nbackground: 5\n", id="background-not-last"),
-    pytest.param("0 1 1\nbackground: 1 2 3\n", id="label-in-both"),
+@pytest.mark.parametrize("text,message", [
+    pytest.param("0 1\nbackground: 2\n3 4\nbackground: 5\n", "more than one", id="background-not-last"),
+    pytest.param("0 1 1\nbackground: 1 2 3\n", "'1' is both", id="label-in-both"),
+    pytest.param("0 1 0\nbackground: 2\n", "'0' is repeated", id="repeat-in-community"),
+    pytest.param("0 1\nbackground: 2 3 2\n", "'2' is repeated", id="repeat-in-background"),
 ])
-def test_read_communities_rejects_malformed_files(text):
-    with pytest.raises(ValueError):
+def test_read_communities_rejects_malformed_files(text, message):
+    with pytest.raises(ValueError, match=message):
         read_communities(text)
+
+
+def test_read_communities_keeps_a_label_in_two_communities():
+    assert read_communities("0 1\n1 2\nbackground: 3\n") == ([["0", "1"], ["1", "2"]], ["3"])

@@ -5,8 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import essc.graph
+from essc.bench import FIELDS, BenchmarkSpec, generate
 from essc.errors import EdgeListParseError
-from essc.graph import MultiGraph, as_id_array, parse_edge_list, write_edge_list
+from essc.graph import (
+    MultiGraph,
+    _parse_canonical,
+    _parse_lines,
+    as_id_array,
+    parse_edge_list,
+    write_edge_list,
+)
 from essc.significance import _boundary_law, block_probability
 
 from helpers import boundary_count, random_multigraph, triangle
@@ -140,6 +149,101 @@ def test_labels_round_trip_through_write():
     h = parse_edge_list(write_edge_list(g))
     assert h.labels == g.labels
     assert list(h.edge_classes()) == list(g.edge_classes())
+
+
+def assert_same_graph(a: MultiGraph, b: MultiGraph):
+    assert a.n == b.n and a.labels == b.labels
+    for name in ("_indptr", "_indices", "_data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def parsed(parse, text):
+    """The graph `parse` returns for `text`, or its error's line and text."""
+    try:
+        return parse(text)
+    except EdgeListParseError as err:
+        return err.lineno, str(err)
+
+
+# each of these texts leaves the ``a b m`` form with canonical decimals
+# somewhere, so the bulk reader declines it and the line loop decides
+@pytest.mark.parametrize("text", [
+    pytest.param("7 007 1\n007 7 2\n", id="leading-zero"),
+    pytest.param("+5 5 1\n", id="plus-sign"),
+    pytest.param("1_000 1000 1\n", id="underscore"),
+    pytest.param("\u0663 3 1\n", id="arabic-indic-digit"),
+    pytest.param("-1 1 1\n", id="minus-sign"),
+    pytest.param("1234567890123456789 1 1\n", id="19-digit-label"),
+    pytest.param("1 2 01\n", id="multiplicity-01"),
+    pytest.param("1 2 1\r\n2 3 1\r\n", id="crlf"),
+    pytest.param("1\t2\t1\n", id="tabs"),
+    pytest.param("1  2 1\n", id="double-space"),
+    pytest.param("1 2 1 \n", id="trailing-space"),
+    pytest.param("1 2 1\n\n2 3 1\n", id="blank-line"),
+    pytest.param("# header\n1 2 1\n", id="comment"),
+    pytest.param("1 2 1\n2 3 1", id="no-final-newline"),
+    pytest.param("1 2\n2 3 1\n3 1\n", id="mixed-2-and-3-tokens"),
+    pytest.param("1 2 1\n2 3 0\n", id="multiplicity-0"),
+    pytest.param("1 2 1\n2 3 9007199254740992\n", id="multiplicity-2**53"),
+    pytest.param("1 2 1\n2 3 1 1\n", id="4-tokens"),
+    pytest.param("1 2 1\n2\n", id="1-token"),
+    pytest.param("1 2 1\n3 #4 1\n", id="comment-mark-label"),
+])
+def test_bulk_reader_declines_and_the_loop_decides(text):
+    assert _parse_canonical(text) is None
+    got, want = parsed(parse_edge_list, text), parsed(_parse_lines, text)
+    if isinstance(want, MultiGraph):
+        assert_same_graph(got, want)
+    else:
+        assert got == want
+
+
+def test_labels_equal_as_integers_stay_distinct():
+    g = parse_edge_list("7 007 1\n007 7 2\n")
+    assert g.labels == ["7", "007"]
+    assert g.edge_count == 3
+
+
+@pytest.mark.parametrize("slice_bytes", [64, 1 << 20])
+def test_bulk_reader_matches_the_loop_across_slices(slice_bytes, monkeypatch):
+    monkeypatch.setattr(essc.graph, "_SLICE", slice_bytes)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        k = int(rng.integers(1, 200))
+        u, v = rng.integers(0, 10**int(rng.integers(1, 19)), size=(2, k))
+        m = rng.integers(1, 4, size=k)
+        text = "".join(f"{a} {b} {c}\n" for a, b, c in zip(u.tolist(), v.tolist(), m.tolist()))
+        g = _parse_canonical(text)
+        assert g is not None
+        assert_same_graph(g, _parse_lines(text))
+        # one bad line in the last slice sends the whole file to the loop
+        assert _parse_canonical(text + "1 01 1\n") is None
+        assert_same_graph(parse_edge_list(text + "1 01 1\n"), _parse_lines(text + "1 01 1\n"))
+
+
+_SPECS = {
+    "er": dict(n=200, dbar=6),
+    "config": dict(n=200, dbar=8, tau1=2.0),
+    "sbm_single": dict(n=200, pi=0.2, kappa=5, theta=0.02),
+    "lfr": dict(n=400, dbar=12, tau1=2.0, tau2=1.0, mu=0.2, s1=10, s2=40, rho=0.1),
+    "lfr_bg": dict(n=400, dbar=12, tau1=2.0, tau2=1.0, mu=0.2, s1=10, s2=40, pi=0.6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_writer_output_takes_the_bulk_path(kind, monkeypatch):
+    g, _ = generate(BenchmarkSpec(kind=kind, rng_seed=21, **_SPECS[kind]))
+    text = write_edge_list(g)
+    h = _parse_canonical(text)
+    assert h is not None
+    assert_same_graph(h, _parse_lines(text))
+    monkeypatch.setattr(essc.graph, "_parse_lines", lambda text: pytest.fail("read line by line"))
+    assert_same_graph(parse_edge_list(text), h)
+    # h numbers vertices in first-seen order; its labels are g's ids
+    ids = np.array([int(label) for label in h.labels])
+    u, v, m = h._edge_arrays()
+    assert_same_graph(MultiGraph.from_pair_arrays(g.n, ids[u], ids[v], m), g)
 
 
 def test_boundary_count_triangle():
