@@ -303,8 +303,9 @@ def read_communities(text: str) -> tuple[list[list[str]], list[str]]:
     has exactly one line starting with ``background:``, the last, no
     label is both in a community and in the background, and no line
     repeats a label. A label may sit in several community lines (overlap).
+    Lines end at ``\n`` alone.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[-1].startswith("background:"):
         raise ValueError("community file must end with a 'background:' line")
     if any(ln.startswith("background:") for ln in lines[:-1]):

@@ -15,6 +15,7 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .errors import EdgeListParseError
 
@@ -86,7 +87,13 @@ class MultiGraph:
         mult: np.ndarray | None = None,
         labels: Sequence[str] | None = None,
     ) -> "MultiGraph":
-        """Build from parallel endpoint arrays, accumulating multiplicity."""
+        """Build from parallel endpoint arrays, accumulating multiplicity.
+
+        Both orientations of every edge go into one COO matrix, whose
+        `tocsr` counts entries into rows, sorts each row and sums repeated
+        entries, so a loop's two orientations land on one entry holding
+        twice its multiplicity.
+        """
         n = operator.index(n)
         u, v = _int_array(u, "endpoints"), _int_array(v, "endpoints")
         mult = np.ones(u.size, dtype=np.int64) if mult is None else _int_array(mult, "multiplicities")
@@ -96,16 +103,16 @@ class MultiGraph:
             raise ValueError("vertex id out of range")
         if np.any(mult < 1):
             raise ValueError("multiplicity must be >= 1")
-        # both orientations of every edge; a loop's two land on one entry
-        keys, slot = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
-        data = np.bincount(slot, weights=np.concatenate([mult, mult]), minlength=keys.size)
         # float64 sums of non-negative integers are exact below 2**53 and
-        # round to at least 2**53 above it, so this tests the exact total
-        if data.sum() >= 2**53:
+        # round to at least 2**53 above it, so this tests the exact total;
+        # below it the int64 sums of the build cannot overflow
+        if 2.0 * mult.sum(dtype=np.float64) >= 2**53:
             raise ValueError("total degree 2|E| must be below 2**53 to be counted exactly")
-        rows, cols = np.divmod(keys, n)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        return cls(n, indptr, cols, data.astype(np.int64), labels)
+        adj = scipy.sparse.coo_array(
+            (np.concatenate([mult, mult]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(n, n),
+        ).tocsr()
+        return cls(n, adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data, labels)
 
     @classmethod
     def from_edges(
@@ -210,7 +217,10 @@ def _parse_canonical(text: str) -> MultiGraph | None:
 
     A canonical token is its integer's `str`, so labels can be numbered
     as integers without merging two strings (``7`` and ``007``) that
-    `int` reads alike.
+    `int` reads alike. Labels are numbered in first-seen order by one of
+    two paths with the same result: `_number_direct` when the largest
+    label is below the number of tokens (``max < tokens``, which a file
+    of dense ids always meets), else `_number_by_sort`.
     """
     if not text.isascii() or not text.endswith("\n"):
         return None
@@ -234,13 +244,33 @@ def _parse_canonical(text: str) -> MultiGraph | None:
     del blocks
     if mult.min() < 1 or mult.max() >= 2**53:
         return None
-    values, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    number = _number_direct if ends.max() < ends.size else _number_by_sort
+    ids, values = number(ends)
     del ends
-    order = np.argsort(first)  # the distinct values in first-seen order
-    ids = np.argsort(order)[inverse].reshape(-1, 2)
-    del inverse
-    labels = [str(x) for x in values[order].tolist()]
+    ids = ids.reshape(-1, 2)
+    labels = [str(x) for x in values.tolist()]
     return MultiGraph.from_pair_arrays(len(labels), ids[:, 0], ids[:, 1], mult, labels)
+
+
+def _number_direct(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of `ends` in first-seen order, and the distinct values in that
+    order, through tables indexed by value. Needs ``ends.max() < ends.size``,
+    so that no table is larger than `ends`."""
+    pos = np.arange(ends.size)
+    first = np.full(int(ends.max()) + 1, ends.size, dtype=np.int64)
+    # ufunc.at applies every repeated index; a fancy assignment would
+    # leave it unspecified which of the repeated writes wins
+    np.minimum.at(first, ends, pos)
+    values = ends[first[ends] == pos]
+    first[values] = np.arange(values.size)  # now the rank of each value
+    return first[ends], values
+
+
+def _number_by_sort(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_number_direct` for any non-negative `ends`, through a sort."""
+    values, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct values in first-seen order
+    return np.argsort(order)[inverse], values[order]
 
 
 def _canonical_rows(block: bytes) -> np.ndarray | None:
@@ -271,7 +301,8 @@ def _parse_lines(text: str) -> MultiGraph:
     vs: list[int] = []
     ms: list[int] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" alone; `split` drops the "\r" of a CRLF line end
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue

@@ -32,6 +32,19 @@ def random_multigraph(rng: np.random.Generator, n: int, m: int) -> MultiGraph:
     return MultiGraph.from_pair_arrays(n, u, v)
 
 
+def csr_by_sort(n: int, u: np.ndarray, v: np.ndarray, mult: np.ndarray):
+    """CSR ``indptr, indices, data`` of the multigraph with edges
+    ``(u[i], v[i])`` of multiplicity ``mult[i]``, by sorting the keys
+    ``row * n + col`` of both orientations and summing repeated keys in
+    float64. The naive build, kept as the oracle for
+    `MultiGraph.from_pair_arrays`; exact while 2|E| < 2**53."""
+    keys, slot = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
+    data = np.bincount(slot, weights=np.concatenate([mult, mult]), minlength=keys.size)
+    rows, cols = np.divmod(keys, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols, data.astype(np.int64)
+
+
 def random_simple_gnp(rng: np.random.Generator, n: int, p: float) -> MultiGraph:
     mask = rng.random((n, n)) < p
     us, vs = [], []

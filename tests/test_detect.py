@@ -369,3 +369,12 @@ def test_read_communities_rejects_malformed_files(text, message):
 
 def test_read_communities_keeps_a_label_in_two_communities():
     assert read_communities("0 1\n1 2\nbackground: 3\n") == ([["0", "1"], ["1", "2"]], ["3"])
+
+
+@pytest.mark.parametrize("text,want", [
+    # U+2028 is a line boundary to `str.splitlines` but not in this format
+    pytest.param("0 1\u20282\nbackground: 3\n", ([["0", "1", "2"]], ["3"]), id="line-separator"),
+    pytest.param("0 1\r\nbackground: 3\r\n", ([["0", "1"]], ["3"]), id="crlf"),
+])
+def test_read_communities_ends_lines_at_newline_only(text, want):
+    assert read_communities(text) == want

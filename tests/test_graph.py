@@ -10,6 +10,8 @@ from essc.bench import FIELDS, BenchmarkSpec, generate
 from essc.errors import EdgeListParseError
 from essc.graph import (
     MultiGraph,
+    _number_by_sort,
+    _number_direct,
     _parse_canonical,
     _parse_lines,
     as_id_array,
@@ -18,7 +20,7 @@ from essc.graph import (
 )
 from essc.significance import _boundary_law, block_probability
 
-from helpers import boundary_count, random_multigraph, triangle
+from helpers import boundary_count, csr_by_sort, random_multigraph, triangle
 
 
 def test_parse_simple_path():
@@ -72,6 +74,25 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     assert err.value.lineno == lineno
 
 
+# each is a line end to `str.splitlines`, but only "\n" ends a line here,
+# and `str.split` takes each as a space, so the second line has 4 tokens
+@pytest.mark.parametrize(
+    "char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=lambda c: f"U+{ord(c):04X}",
+)
+def test_lines_end_at_newline_only(char):
+    text = f"0 1 1\n0 1{char}2 3\n"
+    assert _parse_canonical(text) is None
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.lineno == 2
+    assert str(err.value) == "line 2: expected 2 or 3 tokens, got 4"
+
+
+def test_crlf_line_ends_still_parse():
+    assert_same_graph(parse_edge_list("1 2 1\r\n2 3\r\n"), parse_edge_list("1 2 1\n2 3 1\n"))
+
+
 @pytest.mark.parametrize("mult", ["9007199254740992", "9007199254740993", "99999999999999999999"])
 def test_parse_rejects_multiplicities_past_exact_counting(mult):
     # 2**53 and above: one would overflow int64, the other would be
@@ -122,6 +143,23 @@ def test_builders_reject_non_integer_input():
     assert MultiGraph.from_edges(3, []).edge_count == 0
     g = MultiGraph.from_pair_arrays(3, np.array([0], dtype=np.int32), np.array([2], dtype=np.uint8), [3])
     assert g.edge_count == 3
+
+
+def test_build_matches_the_sorting_oracle():
+    rng = np.random.default_rng(5)
+    sizes = [(0, 0), (4, 0), (1, 3)] + [
+        (int(rng.integers(1, 40)), int(rng.integers(1, 120))) for _ in range(40)
+    ]
+    for n, k in sizes:
+        # endpoints avoid the last quarter of the ids, which stay isolated;
+        # few ids give loops and pairs repeated in both orientations
+        u, v = rng.integers(0, n - n // 4, size=(2, k)) if k else np.empty((2, 0), dtype=np.int64)
+        u, v = np.concatenate([u, v[: k // 3]]), np.concatenate([v, u[: k // 3]])
+        m = np.where(rng.random(u.size) < 0.5, 1, rng.integers(1, 2**40, size=u.size))
+        g = MultiGraph.from_pair_arrays(n, u, v, m)
+        for got, want in zip((g._indptr, g._indices, g._data), csr_by_sort(n, u, v, m)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 def test_builders_check_the_multiplicity_length():
@@ -222,6 +260,40 @@ def test_bulk_reader_matches_the_loop_across_slices(slice_bytes, monkeypatch):
         assert_same_graph(parse_edge_list(text + "1 01 1\n"), _parse_lines(text + "1 01 1\n"))
 
 
+def _file(u, v, m=None) -> str:
+    m = [1] * len(u) if m is None else m
+    return "".join(f"{a} {b} {c}\n" for a, b, c in zip(u, v, m))
+
+
+def _random_file(seed: int, low: int, high: int) -> str:
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 100))
+    u, v = rng.integers(low, high, size=(2, k)).tolist()
+    return _file(u, v, rng.integers(1, 4, size=k).tolist())
+
+
+# `_parse_canonical` numbers by direct addressing when the largest label
+# is below the number of label tokens, else by sorting
+@pytest.mark.parametrize("text,direct", [
+    *(pytest.param(_random_file(s, 1, 60), True, id=f"skips-0-{s}") for s in range(3)),
+    *(pytest.param(_random_file(s, 0, 10**18), False, id=f"18-digits-{s}") for s in range(3)),
+    pytest.param("5 5 1\n", False, id="one-loop"),
+    pytest.param(_file(range(49), range(1, 50)) + "99 3 1\n", True, id="largest-is-tokens-1"),
+    pytest.param(_file(range(49), range(1, 50)) + "100 3 1\n", False, id="largest-is-tokens"),
+])
+def test_numbering_paths_agree(text, direct, monkeypatch):
+    ends = np.array([int(t) for line in text.split("\n")[:-1] for t in line.split()[:2]])
+    assert (ends.max() < ends.size) == direct
+    ids, values = _number_by_sort(ends)
+    if ends.max() < 10**6:  # the direct path's tables stay small
+        got_ids, got_values = _number_direct(ends)
+        assert got_ids.dtype == ids.dtype and np.array_equal(got_ids, ids)
+        assert got_values.dtype == values.dtype and np.array_equal(got_values, values)
+    other = "_number_by_sort" if direct else "_number_direct"
+    monkeypatch.setattr(essc.graph, other, lambda ends: pytest.fail(f"took {other}"))
+    assert_same_graph(_parse_canonical(text), _parse_lines(text))
+
+
 _SPECS = {
     "er": dict(n=200, dbar=6),
     "config": dict(n=200, dbar=8, tau1=2.0),
@@ -239,7 +311,10 @@ def test_writer_output_takes_the_bulk_path(kind, monkeypatch):
     assert h is not None
     assert_same_graph(h, _parse_lines(text))
     monkeypatch.setattr(essc.graph, "_parse_lines", lambda text: pytest.fail("read line by line"))
+    # dense ids take the direct numbering, and the build sorts no keys
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("sorted by np.unique"))
     assert_same_graph(parse_edge_list(text), h)
+    monkeypatch.undo()
     # h numbers vertices in first-seen order; its labels are g's ids
     ids = np.array([int(label) for label in h.labels])
     u, v, m = h._edge_arrays()

@@ -11,12 +11,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # oracle reaches the Monte-Carlo sampler, planted-1k `generate` for the
-# lfr, lfr_bg and sbm_single kinds, null-50k the edge-list writer and the
-# bulk reader through `essc detect`; the traced row runs the harness that
-# patches the library's functions to count their calls
+# lfr, lfr_bg and sbm_single kinds, null-50k and lfr-10k the edge-list
+# writer, the bulk reader and the graph build through `essc detect`; the
+# traced row runs the harness that patches the library's functions to
+# count their calls
 @pytest.mark.parametrize("workload,trace", [
     pytest.param("oracle", 0, id="oracle"),
     pytest.param("null-50k", 0, id="null-50k"),
+    pytest.param("lfr-10k", 0, id="lfr-10k"),
     pytest.param("planted-1k", 0, id="planted-1k"),
     pytest.param("planted-1k", 1, id="planted-1k-trace"),
 ])
