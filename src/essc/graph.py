@@ -50,6 +50,7 @@ class MultiGraph:
 
     `degrees[u]` counts edge endpoints at `u` (a self-loop counts 2);
     `edge_count` counts edges with multiplicity (a self-loop counts 1).
+    `labels[u]` is the `str` of the label given for `u`, by default `u`.
     """
 
     __slots__ = ("n", "edge_count", "degrees", "labels", "_indptr", "_indices", "_data")
@@ -60,7 +61,7 @@ class MultiGraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
-        labels: Sequence[str] | None = None,
+        labels: Sequence[str | int] | None = None,
     ):
         # the CSR arrays must already be canonical: symmetric rows, columns
         # strictly increasing within a row, a loop entry holding 2x its
@@ -85,7 +86,7 @@ class MultiGraph:
         u: np.ndarray,
         v: np.ndarray,
         mult: np.ndarray | None = None,
-        labels: Sequence[str] | None = None,
+        labels: Sequence[str | int] | None = None,
     ) -> "MultiGraph":
         """Build from parallel endpoint arrays, accumulating multiplicity.
 
@@ -189,11 +190,12 @@ def parse_edge_list(text: str) -> MultiGraph:
     """Parse an edge list with one edge per line.
 
     Each non-comment line holds two whitespace-separated vertex labels and
-    an optional integer multiplicity (default 1). Labels are arbitrary
-    strings mapped to dense ids in first-seen order; repeated lines
-    accumulate multiplicity. Lines starting with '#' and blank lines are
-    skipped, so no label may start with '#': such a label in the second
-    column raises EdgeListParseError.
+    an optional multiplicity, ASCII digits with an optional sign (default
+    1). Labels are arbitrary strings mapped to dense ids in first-seen
+    order; repeated lines accumulate multiplicity. Lines starting with '#'
+    and blank lines are skipped. No label may start with '#' or with
+    'background:', the mark of a community file's background line: such a
+    label raises EdgeListParseError.
 
     A file of ``a b m`` lines with canonical decimal tokens, which is what
     `write_edge_list` gives for integer labels, is read in bulk; any other
@@ -217,10 +219,10 @@ def _parse_canonical(text: str) -> MultiGraph | None:
 
     A canonical token is its integer's `str`, so labels can be numbered
     as integers without merging two strings (``7`` and ``007``) that
-    `int` reads alike. Labels are numbered in first-seen order by one of
-    two paths with the same result: `_number_direct` when the largest
-    label is below the number of tokens (``max < tokens``, which a file
-    of dense ids always meets), else `_number_by_sort`.
+    `int` reads alike. `_number` gives them ids in first-seen order by
+    direct addressing, first replacing each label by its rank among the
+    distinct labels when the largest is not below the number of label
+    tokens. The graph keeps each label as its integer's `str`.
     """
     if not text.isascii() or not text.endswith("\n"):
         return None
@@ -244,33 +246,28 @@ def _parse_canonical(text: str) -> MultiGraph | None:
     del blocks
     if mult.min() < 1 or mult.max() >= 2**53:
         return None
-    number = _number_direct if ends.max() < ends.size else _number_by_sort
-    ids, values = number(ends)
+    ids, values = _number(ends)
     del ends
     ids = ids.reshape(-1, 2)
-    labels = [str(x) for x in values.tolist()]
-    return MultiGraph.from_pair_arrays(len(labels), ids[:, 0], ids[:, 1], mult, labels)
+    return MultiGraph.from_pair_arrays(values.size, ids[:, 0], ids[:, 1], mult, values.tolist())
 
 
-def _number_direct(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of `ends` in first-seen order, and the distinct values in that
-    order, through tables indexed by value. Needs ``ends.max() < ends.size``,
-    so that no table is larger than `ends`."""
-    pos = np.arange(ends.size)
-    first = np.full(int(ends.max()) + 1, ends.size, dtype=np.int64)
+def _number(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the non-negative `ends` in first-seen order, and the distinct
+    values in that order, through tables indexed by value; values not all
+    below ``ends.size`` are first replaced by their rank among the distinct
+    values, so that no table is larger than `ends`."""
+    keys = ends
+    if ends.max() >= ends.size:
+        keys = np.unique(ends, return_inverse=True)[1]
+    pos = np.arange(keys.size)
+    first = np.full(int(keys.max()) + 1, keys.size, dtype=np.int64)
     # ufunc.at applies every repeated index; a fancy assignment would
     # leave it unspecified which of the repeated writes wins
-    np.minimum.at(first, ends, pos)
-    values = ends[first[ends] == pos]
-    first[values] = np.arange(values.size)  # now the rank of each value
-    return first[ends], values
-
-
-def _number_by_sort(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_number_direct` for any non-negative `ends`, through a sort."""
-    values, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct values in first-seen order
-    return np.argsort(order)[inverse], values[order]
+    np.minimum.at(first, keys, pos)
+    seen = first[keys] == pos
+    first[keys[seen]] = np.arange(np.count_nonzero(seen))  # now the id of each key
+    return first[keys], ends[seen]
 
 
 def _canonical_rows(block: bytes) -> np.ndarray | None:
@@ -308,23 +305,25 @@ def _parse_lines(text: str) -> MultiGraph:
             continue
         if len(tokens) not in (2, 3):
             raise EdgeListParseError(lineno, f"expected 2 or 3 tokens, got {len(tokens)}")
+        # a first-column label starting with '#' makes the line a comment,
+        # so for it only the 'background:' mark can apply
+        for label in tokens[:2]:
+            if label.startswith(("#", "background:")):
+                mark = "the comment mark '#'" if label[0] == "#" else "'background:', reserved by the community file"
+                raise EdgeListParseError(lineno, f"label {label!r} starts with {mark}")
         mult = 1
         if len(tokens) == 3:
             try:
+                # `int` also reads '1_0' and non-ASCII digits
+                if not tokens[2].isascii() or "_" in tokens[2]:
+                    raise ValueError
                 mult = int(tokens[2])
             except ValueError:
                 raise EdgeListParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer") from None
             if not 1 <= mult < 2**53:
                 raise EdgeListParseError(lineno, f"multiplicity must lie in [1, 2**53), got {mult}")
         us.append(id_of.setdefault(tokens[0], len(id_of)))
-        # a first-column label cannot start with '#' (the line is a
-        # comment), so only a new second-column label needs the check
-        v = id_of.get(tokens[1])
-        if v is None:
-            if tokens[1].startswith("#"):
-                raise EdgeListParseError(lineno, f"label {tokens[1]!r} starts with the comment mark '#'")
-            v = id_of[tokens[1]] = len(id_of)
-        vs.append(v)
+        vs.append(id_of.setdefault(tokens[1], len(id_of)))
         ms.append(mult)
 
     labels = list(id_of)

@@ -10,8 +10,20 @@ from math import comb
 
 import numpy as np
 
+from essc.detect import (
+    MAX_ITER,
+    SEED_ALL_NEIGHBORHOODS,
+    SEED_MAX_DEGREE,
+    TERM_CYCLE,
+    TERM_EMPTY,
+    TERM_FIXED_POINT,
+    TERM_ITERATION_CAP,
+    DetectionResult,
+    SeedRecord,
+)
 from essc.errors import GenerationError
 from essc.graph import MultiGraph
+from essc.significance import binomial_survival
 
 
 def two_cliques(k: int = 10) -> MultiGraph:
@@ -43,6 +55,16 @@ def csr_by_sort(n: int, u: np.ndarray, v: np.ndarray, mult: np.ndarray):
     rows, cols = np.divmod(keys, n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return indptr, cols, data.astype(np.int64)
+
+
+def number_by_sort(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the non-negative `ends` in first-seen order, and the
+    distinct values in that order, through one sort of `ends`. The
+    numbering the bulk edge-list reader used before it addressed labels
+    directly, kept as the oracle for `essc.graph._number`."""
+    values, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct values in first-seen order
+    return np.argsort(order)[inverse], values[order]
 
 
 def random_simple_gnp(rng: np.random.Generator, n: int, p: float) -> MultiGraph:
@@ -159,6 +181,105 @@ def bh_bruteforce(pvalues, alpha: float) -> frozenset[int]:
         if p[order[k - 1]] <= (k / n) * alpha:
             best = k
     return frozenset(order[:best])
+
+
+def essc_reference(g: MultiGraph, alpha: float, seed_strategy: str = SEED_MAX_DEGREE) -> DetectionResult:
+    """`essc.detect.essc`, written from README and the `detect` docstrings
+    with adjacency dicts and frozensets: the naive oracle for detection.
+
+    One update keeps the vertices that pass Benjamini-Hochberg over the
+    tails P(Bin(deg u, p(B)) >= count of u's edge ends in B) of all n
+    vertices, with p(B) = vol(B) / 2|E|.
+    """
+    n = g.n
+    # adj[u][v] counts u's edge ends at v; a loop adds to its entry twice
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, m in g.edge_classes():
+        adj[a][b] = adj[a].get(b, 0) + m
+        adj[b][a] = adj[b].get(a, 0) + m
+    deg = [sum(row.values()) for row in adj]
+    stubs = sum(deg)
+
+    def pvalues(b: frozenset[int]) -> list[float]:
+        p = sum(deg[u] for u in b) / stubs
+        counts = [sum(c for v, c in adj[u].items() if v in b) for u in range(n)]
+        return [binomial_survival(deg[u], p, counts[u]) for u in range(n)]
+
+    def search(seed: frozenset[int]) -> tuple[frozenset[int], int, str]:
+        current = seed
+        visited = {current: 0}  # set -> its place in `history`
+        history = [current]
+        first_cycle = None
+        for step in range(1, MAX_ITER + 1):
+            new = bh_bruteforce(pvalues(current), alpha)
+            if new == current:
+                return new, step, TERM_FIXED_POINT
+            if not new:
+                return new, step, TERM_EMPTY
+            if new in visited:
+                cycle = history[visited[new]:]
+                if first_cycle is None:
+                    first_cycle = cycle
+                escapes = [e for e in (frozenset.intersection(*cycle), frozenset.union(*cycle))
+                           if e and e not in visited]
+                if not escapes:
+                    return min(first_cycle, key=lambda c: (len(c), sorted(c))), step, TERM_CYCLE
+                new = escapes[0]
+            visited[new] = len(history)
+            history.append(new)
+            current = new
+        return current, MAX_ITER, TERM_ITERATION_CAP
+
+    communities: list[frozenset[int]] = []
+    log: list[SeedRecord] = []
+
+    def closed_neighborhood(u: int) -> frozenset[int]:
+        return frozenset(adj[u]) | {u}
+
+    if seed_strategy == SEED_ALL_NEIGHBORHOODS:
+        for u in range(n):
+            seed = closed_neighborhood(u)
+            community, iterations, term = search(seed)
+            accepted = term == TERM_FIXED_POINT
+            if accepted and community not in communities:
+                communities.append(community)
+            log.append(SeedRecord(u, len(seed), term, iterations, len(community), accepted))
+    else:
+        uncovered = set(range(n))
+
+        def attempt(anchor: int, seed: frozenset[int], fallback: bool) -> SeedRecord:
+            community, iterations, term = search(seed)
+            fresh = bool(community & uncovered)
+            # a retry counts only with an uncovered member
+            accepted = term == TERM_FIXED_POINT and (fresh or not fallback)
+            if accepted:
+                if community not in communities:
+                    communities.append(community)
+                uncovered.difference_update(community)
+            # a first search that ends other than empty and covers no new
+            # vertex retires its anchor
+            forced = not fallback and term != TERM_EMPTY and not (accepted and fresh)
+            if forced:
+                uncovered.discard(anchor)
+            log.append(SeedRecord(anchor, len(seed), term, iterations, len(community),
+                                  accepted, forced, fallback))
+            return log[-1]
+
+        while uncovered:
+            anchor = max(uncovered, key=lambda u: (deg[u], -u))
+            seed = closed_neighborhood(anchor)
+            if attempt(anchor, seed, False).termination != TERM_EMPTY:
+                continue
+            # retry from the |B0| vertices with the smallest p-values against
+            # B0, ties to the smaller id
+            table = pvalues(seed)
+            ranked = frozenset(sorted(range(n), key=lambda u: (table[u], u))[:len(seed)])
+            if not attempt(anchor, ranked, True).accepted:
+                break
+
+    covered = set().union(*communities)
+    background = frozenset(u for u in range(n) if u not in covered)
+    return DetectionResult(communities, background, alpha, log)
 
 
 def flatten_to_partition(communities, background, n: int) -> list[set[int]]:

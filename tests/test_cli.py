@@ -293,6 +293,21 @@ def test_detect_rejects_multiplicities_past_exact_counting(text, tmp_path, capsy
     assert not out.exists()
 
 
+def test_detect_rejects_a_label_the_community_file_reserves(tmp_path, capsys):
+    # detect would write this label first on its community's line, which
+    # eval would then read as a second background line
+    text = "".join(
+        f"{'background:0' if a == 0 else a} {b} {m}\n" for a, b, m in two_cliques(10).edge_classes()
+    )
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main(["detect", "--input", str(graph), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: label 'background:0' starts with 'background:'")
+    assert not out.exists()
+
+
 def test_generate_rejects_non_finite_parameters(tmp_path, capsys):
     out = tmp_path / "g.txt"
     code = main([

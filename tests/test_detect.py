@@ -1,6 +1,7 @@
 """Fixed-point search, the extraction loop, and result summaries."""
 
 import hashlib
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,8 @@ from essc.bench import (
     single_embedded_theta,
 )
 from essc.detect import (
+    SEED_ALL_NEIGHBORHOODS,
+    SEED_MAX_DEGREE,
     TERM_CYCLE,
     TERM_EMPTY,
     TERM_FIXED_POINT,
@@ -32,7 +35,8 @@ from essc.graph import MultiGraph, write_edge_list
 from essc.metrics import jaccard
 from essc.significance import bh_select
 
-from helpers import random_simple_gnp, two_cliques
+import helpers
+from helpers import essc_reference, random_multigraph, random_simple_gnp, two_cliques
 
 
 def test_community_search_finds_clique():
@@ -67,6 +71,7 @@ def test_iteration_cap_retires_the_anchor(monkeypatch):
     edges = [(i, j) for c in (0, 10) for i in range(c, c + 10) for j in range(i + 1, c + 10)]
     g = MultiGraph.from_edges(20, edges + [(0, 10)])
     monkeypatch.setattr("essc.detect.MAX_ITER", 1)
+    monkeypatch.setattr(helpers, "MAX_ITER", 1)
     out = community_search(g, frozenset(range(11)), 0.05)
     assert out.termination == TERM_ITERATION_CAP
     assert out.iterations == 1 and out.trace == [11, 10]
@@ -75,6 +80,55 @@ def test_iteration_cap_retires_the_anchor(monkeypatch):
     assert first.anchor == 0 and first.termination == TERM_ITERATION_CAP
     assert first.forced_progress and not first.accepted
     assert result.communities == [frozenset(range(10)), frozenset(range(10, 20))]
+    assert result == essc_reference(g, 0.05)
+
+
+def _reference_cases():
+    """About 100 small graphs with an alpha each: uniform multigraphs with
+    loops and repeated edges, and planted Poisson blocks."""
+    rng = np.random.default_rng(2013)
+    for i in range(100):
+        n = int(rng.integers(6, 60))
+        alpha = float(rng.choice([0.01, 0.05, 0.1, 0.3, 0.6]))
+        if i % 2:
+            yield random_multigraph(rng, n, int(rng.integers(n, 4 * n))), alpha
+            continue
+        blocks = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        u, v = np.triu_indices(n, 1)
+        same = blocks[u] == blocks[v]
+        counts = rng.poisson(np.where(same, rng.uniform(0.3, 0.9), rng.uniform(0.01, 0.1)))
+        edges = counts > 0
+        yield MultiGraph.from_pair_arrays(n, u[edges], v[edges], counts[edges]), alpha
+
+
+@pytest.mark.parametrize("strategy", [SEED_MAX_DEGREE, SEED_ALL_NEIGHBORHOODS])
+def test_essc_matches_the_naive_reference(strategy, monkeypatch):
+    searches = []
+
+    def bounded_search(g, seed, alpha):
+        # each round of extraction covers or retires a vertex, or ends it,
+        # in at most two searches; a fault here would otherwise hang
+        searches.append(seed)
+        assert len(searches) <= 2 * g.n
+        return community_search(g, seed, alpha)
+
+    monkeypatch.setattr("essc.detect.community_search", bounded_search)
+    reached = Counter()
+    for g, alpha in _reference_cases():
+        searches.clear()
+        result = essc(g, alpha, strategy)
+        assert result == essc_reference(g, alpha, strategy)
+        for record in result.seed_log:
+            reached[record.termination] += 1
+            reached["forced_progress"] += record.forced_progress
+            reached["fallback accepted" if record.accepted else "fallback"] += record.fallback
+    # the graphs reach every path of the loop but the iteration cap, which
+    # no graph this small was seen to reach in 100 updates; the test above
+    # reaches it with the cap lowered
+    assert reached[TERM_ITERATION_CAP] == 0
+    assert reached[TERM_CYCLE] and reached[TERM_EMPTY] and reached[TERM_FIXED_POINT]
+    if strategy == SEED_MAX_DEGREE:
+        assert reached["forced_progress"] and reached["fallback"] and reached["fallback accepted"]
 
 
 def test_community_search_usually_empty_on_noise():

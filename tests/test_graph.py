@@ -10,8 +10,7 @@ from essc.bench import FIELDS, BenchmarkSpec, generate
 from essc.errors import EdgeListParseError
 from essc.graph import (
     MultiGraph,
-    _number_by_sort,
-    _number_direct,
+    _number,
     _parse_canonical,
     _parse_lines,
     as_id_array,
@@ -20,7 +19,7 @@ from essc.graph import (
 )
 from essc.significance import _boundary_law, block_probability
 
-from helpers import boundary_count, csr_by_sort, random_multigraph, triangle
+from helpers import boundary_count, csr_by_sort, number_by_sort, random_multigraph, triangle
 
 
 def test_parse_simple_path():
@@ -50,6 +49,7 @@ def test_parse_multiplicity_column_and_comments():
     assert g.edge_count == 4
     assert g.degree(0) == 3  # x
     assert g.degree(1) == 4  # y
+    assert parse_edge_list("x y +3\n").edge_count == 3
 
 
 def test_parse_labels_first_seen_order():
@@ -66,6 +66,13 @@ def test_parse_labels_first_seen_order():
         ("0 1 x\n", 1),
         ("0 1 0\n", 1),
         ("0 1 -2\n", 1),
+        # `int` reads both as 10 and 12
+        ("0 1\n0 1 1_0\n", 2),
+        ("0 1 \u0661\u0662\n", 1),
+        # a community file reserves the mark of its background line
+        ("0 1\nbackground:0 2\n", 2),
+        ("0 1\n2 background:\n", 2),
+        ("0 1\n2 #3\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -272,26 +279,40 @@ def _random_file(seed: int, low: int, high: int) -> str:
     return _file(u, v, rng.integers(1, 4, size=k).tolist())
 
 
-# `_parse_canonical` numbers by direct addressing when the largest label
-# is below the number of label tokens, else by sorting
+# `_number` addresses labels directly, and first ranks them when the
+# largest is not below the number of label tokens
 @pytest.mark.parametrize("text,direct", [
     *(pytest.param(_random_file(s, 1, 60), True, id=f"skips-0-{s}") for s in range(3)),
     *(pytest.param(_random_file(s, 0, 10**18), False, id=f"18-digits-{s}") for s in range(3)),
     pytest.param("5 5 1\n", False, id="one-loop"),
     pytest.param(_file(range(49), range(1, 50)) + "99 3 1\n", True, id="largest-is-tokens-1"),
     pytest.param(_file(range(49), range(1, 50)) + "100 3 1\n", False, id="largest-is-tokens"),
+    pytest.param(_file([10**11 + 7 * i for i in range(40)], [10**11 + 7 * i + 5 for i in range(40)]),
+                 False, id="sparse-12-digits"),
 ])
 def test_numbering_paths_agree(text, direct, monkeypatch):
     ends = np.array([int(t) for line in text.split("\n")[:-1] for t in line.split()[:2]])
     assert (ends.max() < ends.size) == direct
-    ids, values = _number_by_sort(ends)
-    if ends.max() < 10**6:  # the direct path's tables stay small
-        got_ids, got_values = _number_direct(ends)
-        assert got_ids.dtype == ids.dtype and np.array_equal(got_ids, ids)
-        assert got_values.dtype == values.dtype and np.array_equal(got_values, values)
-    other = "_number_by_sort" if direct else "_number_direct"
-    monkeypatch.setattr(essc.graph, other, lambda ends: pytest.fail(f"took {other}"))
-    assert_same_graph(_parse_canonical(text), _parse_lines(text))
+    assert_same_numbering(_number(ends), number_by_sort(ends))
+    want = _parse_lines(text)
+    # every row is read in bulk, sparse labels too, and dense ones unsorted
+    monkeypatch.setattr(essc.graph, "_parse_lines", lambda text: pytest.fail("read line by line"))
+    if direct:
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("sorted by np.unique"))
+    assert_same_graph(parse_edge_list(text), want)
+
+
+def test_numbering_matches_the_sort_on_random_arrays():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        size = int(rng.integers(1, 400))
+        ends = rng.integers(0, int(rng.choice([2, size, 2 * size, 10**int(rng.integers(1, 19))])), size=size)
+        assert_same_numbering(_number(ends), number_by_sort(ends))
+
+
+def assert_same_numbering(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 _SPECS = {
